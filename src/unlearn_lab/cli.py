@@ -143,7 +143,7 @@ def _cmd_scheme_run(args) -> int:
         answer, aux, tickets = scheme.learn(data)
     else:
         answer, aux = scheme.learn(data)
-        tickets = None
+        tickets = {}
     answers = []
     for q in queries:
         entries = data.entries_for(q)
@@ -152,14 +152,14 @@ def _cmd_scheme_run(args) -> int:
         else:
             a = scheme.unlearn(entries, aux)
         answers.append({"indices": sorted(q), "answer": _answer_json(args.scheme, a)})
-    ticket_sizes = tuple(scheme.ticket_bits(t) for t in tickets.values()) if ticketed else ()
+    ticket_bits = {i: scheme.ticket_bits(t) for i, t in tickets.items()}
     bound = report.scheme_bound(
         args.scheme,
         handle,
         len(data),
         k=args.k,
         encoding_cap=args.encoding_cap,
-        d=_chain_params(handle) if args.scheme == "chain" else None,
+        d=scheme.d if args.scheme == "chain" else None,
         dim_cap=args.dim_cap,
     )
     record = report.make_record(
@@ -168,7 +168,7 @@ def _cmd_scheme_run(args) -> int:
         len(data),
         scheme.aux_bits(aux),
         k=args.k if args.scheme == "bounded" else None,
-        ticket_bits=ticket_sizes,
+        ticket_bits=tuple(ticket_bits.values()),
         bound=bound,
     )
     doc = {
@@ -178,7 +178,7 @@ def _cmd_scheme_run(args) -> int:
         "learn_answer": _answer_json(args.scheme, answer),
         "answers": answers,
         "aux_bits": record["aux_bits"],
-        "ticket_bits": {i: scheme.ticket_bits(t) for i, t in tickets.items()} if ticketed else None,
+        "ticket_bits": ticket_bits or None,
         "max_ticket_bits": record["max_ticket_bits"],
         "mean_ticket_bits": record["mean_ticket_bits"],
         "bound": record["bound"],

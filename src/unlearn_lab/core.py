@@ -222,16 +222,23 @@ class Dataset:
         return tuple((i, self._by_id[i]) for i in sorted(idx))
 
 
-def validate_query(data: Dataset, indices: Iterable[int]) -> frozenset[int]:
-    """Check an index set against a dataset: ids known, no duplicates."""
+def distinct_ids(indices: Iterable[int]) -> frozenset[int]:
+    """The ids of a query as a set; a repeated id raises ValueError."""
     seen = set()
     for i in indices:
         if i in seen:
             raise ValueError(f"duplicate index {i} in query")
         seen.add(i)
+    return frozenset(seen)
+
+
+def validate_query(data: Dataset, indices: Iterable[int]) -> frozenset[int]:
+    """Check an index set against a dataset: no duplicates, ids known."""
+    ids = distinct_ids(indices)
+    for i in sorted(ids):
         if i not in data._by_id:
             raise UnknownItemError(i)
-    return frozenset(seen)
+    return ids
 
 
 def support_pairs(data: Dataset | Iterable[Pair]) -> frozenset[Pair]:

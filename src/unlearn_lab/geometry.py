@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .core import Dataset, Pair
+from .core import Dataset, OracleError, Pair
 
 Point = tuple[Fraction, ...]
 
@@ -143,10 +143,10 @@ def strictly_separable(
         return False, None
     w = tuple(sol[:d])
     b = sol[d]
-    for p in pos:
-        assert sum(wi * pi for wi, pi in zip(w, p)) - b >= 1
-    for q in neg:
-        assert sum(wi * qi for wi, qi in zip(w, q)) - b <= -1
+    if any(sum(wi * pi for wi, pi in zip(w, p)) - b < 1 for p in pos) or any(
+        sum(wi * qi for wi, qi in zip(w, q)) - b > -1 for q in neg
+    ):
+        raise OracleError("Fourier-Motzkin returned a point that does not separate")
     return True, (w, b)
 
 

@@ -13,21 +13,13 @@ from math import log2
 
 from .core import ClassHandle, count_bits, dataset_bits, pair_bits
 from .dimensions import CAP_EXCEEDED, hollow_star_number, star_number
+from .schemes_ticketed import tree_depth
 
 # Fixed constant for the successor-chain scheme's size check:
 # max(|aux|, |ticket|) <= CHAIN_BOUND_CONSTANT * (log2 d + log2 n + log2 |X|).
 CHAIN_BOUND_CONSTANT = 6
 
 SCHEMA_VERSION = 1
-
-
-def _tree_depth(n: int) -> int:
-    depth = 0
-    size = 1
-    while size < max(n, 1):
-        size *= 2
-        depth += 1
-    return depth
 
 
 def scheme_bound(
@@ -70,7 +62,7 @@ def scheme_bound(
         if star == CAP_EXCEEDED:
             return {"name": "(count_bits(cap)+star*z_bits)*log2(n)+count_bits(n-1)",
                     "bits": None, "dims": {"star": CAP_EXCEEDED}}
-        depth = _tree_depth(n)
+        depth = tree_depth(n)
         bits = depth * (count_bits(cap) + star * z) + count_bits((1 << depth) - 1)
         return {
             "name": "(count_bits(cap)+star*z_bits)*log2(n)+count_bits(n-1)",

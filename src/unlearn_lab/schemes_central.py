@@ -3,7 +3,10 @@
 A central scheme pairs learn(dataset) -> (answer, aux) with
 unlearn(deleted entries, aux) -> answer, and must answer exactly as
 retraining from scratch would on the surviving dataset. Deleted entries
-are (item id, pair) tuples, the actual data points being removed.
+are (item id, pair) tuples, the actual data points being removed, and
+may carry any ids the learned Dataset holds, including the gapped ids
+left by earlier deletions. Every unlearn rejects a repeated id through
+core.distinct_ids.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from .core import (
     Pair,
     count_bits,
     dataset_bits,
+    distinct_ids,
     erm_lexmin,
     is_realizable,
     pair_bits,
     support_pairs,
-    validate_query,
 )
 
 
@@ -34,10 +37,6 @@ class QueryTooLargeError(ValueError):
 
 class PreconditionError(ValueError):
     """An input violated a scheme's stated precondition."""
-
-
-def _deleted_ids(data: Dataset, deleted: Sequence[Entry]) -> frozenset[int]:
-    return validate_query(data, (i for i, _ in deleted))
 
 
 class TrivialScheme:
@@ -52,8 +51,7 @@ class TrivialScheme:
         return is_realizable(self.handle, data), data
 
     def unlearn(self, deleted: Sequence[Entry], aux: Dataset) -> bool:
-        survivor = aux.remove(_deleted_ids(aux, deleted))
-        return is_realizable(self.handle, survivor)
+        return is_realizable(self.handle, aux.remove(i for i, _ in deleted))
 
     def aux_bits(self, aux: Dataset) -> int:
         return dataset_bits(len(aux), self.handle.domain_size)
@@ -71,8 +69,7 @@ class TrivialErmScheme:
         return erm_lexmin(self.fc, data), data
 
     def unlearn(self, deleted: Sequence[Entry], aux: Dataset) -> int:
-        survivor = aux.remove(_deleted_ids(aux, deleted))
-        return erm_lexmin(self.fc, survivor)
+        return erm_lexmin(self.fc, aux.remove(i for i, _ in deleted))
 
     def aux_bits(self, aux: Dataset) -> int:
         return dataset_bits(len(aux), self.fc.domain_size)
@@ -183,8 +180,7 @@ class BoundedDeletionScheme:
         self.k = k
 
     def learn(self, data: Dataset) -> tuple[bool, CriticalIndex]:
-        answer = is_realizable(self.handle, data)
-        if answer:
+        if is_realizable(self.handle, data):
             return True, CriticalIndex(True, self.k, len(data))
         sets = enumerate_critical_sets(self.handle, data, self.k)
         mentioned = {pair for s in sets for pair in s}
@@ -196,13 +192,7 @@ class BoundedDeletionScheme:
             raise QueryTooLargeError(
                 f"query of {len(deleted)} items exceeds the budget k={aux.k}"
             )
-        ids = set()
-        for i, _ in deleted:
-            if i in ids:
-                raise ValueError(f"duplicate index {i} in query")
-            if not (1 <= i <= aux.n):
-                raise ValueError(f"item id {i} out of range 1..{aux.n}")
-            ids.add(i)
+        distinct_ids(i for i, _ in deleted)
         if aux.base_realizable:
             return True
         removed = Counter(pair for _, pair in deleted)

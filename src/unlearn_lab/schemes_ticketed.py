@@ -1,11 +1,17 @@
 """Ticketed learning-unlearning schemes.
 
 A ticketed scheme's learn returns (answer, aux, tickets): aux lives in
-central memory, each ticket with the item's owner. Unlearn sees only the
-deleted entries, aux, and the deleted items' tickets, and must answer
-exactly as retraining on the survivors would. Tickets are trusted
-structural values; their bit sizes come from the cost model, not from
-serialization.
+central memory, each ticket, keyed by item id, with the item's owner.
+Unlearn sees only the deleted entries, aux, and the deleted items'
+tickets, and must answer exactly as retraining on the survivors would.
+Every unlearn rejects a repeated id through core.distinct_ids. Tickets
+are trusted structural values; their bit sizes come from the cost model,
+not from serialization.
+
+Known defect: the tree schemes place leaves by position but tickets by
+item id, so they are exact only on datasets whose ids are 1..n. On the
+gapped ids left by earlier deletions they answer wrongly or raise
+IndexError (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .compression import VsEncoding, merge, mergeable_decode, vs_decode, vs_encode
-from .core import ClassHandle, Dataset, Entry, FiniteClass, count_bits
+from .core import ClassHandle, Dataset, Entry, FiniteClass, count_bits, distinct_ids
 from .schemes_central import PreconditionError
 
 
@@ -22,24 +28,23 @@ class TicketError(ValueError):
     """A ticket needed by unlearning is missing or inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ticket:
     """Per-item payload of a tree scheme.
 
-    `siblings` holds the encoding of the off-path subtree at every level,
-    root side first; a tree over 2**depth padded leaves yields exactly
-    `depth` entries.
+    `leaf` is the item id, read as the item's leaf in the tree (exact
+    only while ids are 1..n). `siblings` holds the encoding of the
+    off-path subtree at every level, root side first; a tree over
+    2**depth padded leaves yields exactly `depth` entries.
     """
 
     leaf: int
     siblings: tuple[VsEncoding, ...]
 
 
-def _pad_size(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
+def tree_depth(n: int) -> int:
+    """Depth of the tree over n items, padded to 2**depth >= max(n, 1) leaves."""
+    return (max(n, 1) - 1).bit_length()
 
 
 class _AggregationTreeScheme:
@@ -63,7 +68,7 @@ class _AggregationTreeScheme:
 
     def _learn_tree(self, data: Dataset) -> tuple[VsEncoding, dict[int, Ticket]]:
         n = len(data)
-        size = _pad_size(max(n, 1))
+        size = 1 << tree_depth(n)
         empty = vs_encode(self.handle, ())
         nodes: list[VsEncoding | None] = [None] * (2 * size)
         pairs = data.pairs()
@@ -76,66 +81,50 @@ class _AggregationTreeScheme:
             nodes[v] = merge(self.handle, nodes[2 * v], nodes[2 * v + 1])
         tickets: dict[int, Ticket] = {}
         for item_id, _ in data.entries:
-            heap = size + item_id - 1
             sibs = []
-            path = []
-            v = heap
+            v = size + item_id - 1
             while v > 1:
-                path.append(v)
-                v //= 2
-            for v in reversed(path):
                 sibs.append(nodes[v ^ 1])
-            tickets[item_id] = Ticket(item_id, tuple(sibs))
+                v //= 2
+            tickets[item_id] = Ticket(item_id, tuple(reversed(sibs)))
         return nodes[1], tickets
 
     def _fold_survivor(
         self, deleted: Sequence[Entry], tickets: Mapping[int, Ticket]
     ) -> VsEncoding:
-        ids = []
-        seen = set()
+        """Encoding of the survivors, merged from the deleted items' tickets.
+
+        Only the root paths of the deleted leaves are walked: every
+        off-path sibling is a subtree with no deleted leaf, and merging
+        them in node order re-encodes exactly the survivor set.
+        """
+        distinct_ids(i for i, _ in deleted)
+        chosen = []
         for i, _ in deleted:
-            if i in seen:
-                raise ValueError(f"duplicate index {i} in query")
-            seen.add(i)
-            ids.append(i)
-        provided: dict[int, VsEncoding] = {}
-        depth = None
-        for i in ids:
             t = tickets.get(i)
             if t is None:
                 raise TicketError(f"missing ticket for deleted item {i}")
-            if depth is None:
-                depth = len(t.siblings)
-            elif len(t.siblings) != depth:
-                raise TicketError("tickets disagree on tree depth")
-        assert depth is not None
+            chosen.append(t)
+        depth = len(chosen[0].siblings)
+        if any(len(t.siblings) != depth for t in chosen):
+            raise TicketError("tickets disagree on tree depth")
         size = 1 << depth
-        for i in ids:
-            t = tickets[i]
-            if not (1 <= t.leaf <= size) or t.leaf != i:
+        provided: dict[int, VsEncoding] = {}
+        dirty: set[int] = set()
+        for (i, _), t in zip(deleted, chosen):
+            if not (1 <= t.leaf <= size):
+                raise TicketError(f"ticket leaf {t.leaf} lies outside a tree of {size} leaves")
+            if t.leaf != i:
                 raise TicketError(f"ticket leaf {t.leaf} does not match item {i}")
-            v = size + i - 1
-            path = []
-            while v > 1:
-                path.append(v)
-                v //= 2
-            for enc, node in zip(t.siblings, reversed(path)):
-                sib = node ^ 1
-                if sib in provided and provided[sib] != enc:
-                    raise TicketError(f"inconsistent encodings for tree node {sib}")
-                provided[sib] = enc
-        dirty = set()
-        for i in ids:
-            v = size + i - 1
-            while v >= 1:
+            v = size + t.leaf - 1
+            for enc in reversed(t.siblings):
+                if provided.setdefault(v ^ 1, enc) != enc:
+                    raise TicketError(f"inconsistent encodings for tree node {v ^ 1}")
                 dirty.add(v)
                 v //= 2
-        keep: list[int] = []
-        for v in range(2, 2 * size):
-            if v not in dirty and v // 2 in dirty:
-                keep.append(v)
+            dirty.add(v)
         folded = vs_encode(self.handle, ())
-        for v in keep:
+        for v in sorted(provided.keys() - dirty):
             folded = merge(self.handle, folded, provided[v])
         return folded
 
@@ -297,15 +286,10 @@ class ChainScheme:
         aux: ChainAux,
         tickets: Mapping[int, ChainTicket | None],
     ) -> bool:
+        distinct_ids(i for i, _ in deleted)
         rem0: dict[int, int] = {}
         rem1: dict[int, int] = {}
-        seen = set()
-        for i, (x, y) in deleted:
-            if i in seen:
-                raise ValueError(f"duplicate index {i} in query")
-            if not (1 <= i <= aux.n):
-                raise ValueError(f"item id {i} out of range 1..{aux.n}")
-            seen.add(i)
+        for _, (x, y) in deleted:
             (rem1 if y else rem0)[x] = (rem1 if y else rem0).get(x, 0) + 1
         if aux.first is None:
             return True

@@ -104,6 +104,24 @@ def test_scheme_run_merkle_records(tmp_path, thr4_file, capsys):
     assert stored["kind"] == "scheme-run" and stored["bound_ok"] is True
 
 
+@pytest.mark.parametrize("scheme", ["trivial", "merkle"])
+def test_scheme_run_ticket_bits_null_exactly_without_tickets(tmp_path, thr4_file, capsys, scheme):
+    runs = {}
+    for name, items in (("full", [{"x": 1, "y": 1}, {"x": 2, "y": 1}]), ("empty", [])):
+        data = _write(tmp_path / f"{name}.json", {"items": items})
+        code, out, _ = _run(
+            capsys, ["scheme", "run", "--scheme", scheme, "--class", thr4_file, "--dataset", data]
+        )
+        assert code == 0
+        runs[name] = json.loads(out)
+    if scheme == "trivial":
+        assert runs["full"]["ticket_bits"] is None and runs["full"]["max_ticket_bits"] is None
+    else:
+        assert sorted(runs["full"]["ticket_bits"]) == ["1", "2"]
+        assert runs["full"]["max_ticket_bits"] == max(runs["full"]["ticket_bits"].values())
+    assert runs["empty"]["ticket_bits"] is None and runs["empty"]["max_ticket_bits"] is None
+
+
 def test_scheme_run_chain_requires_tilu_class(tmp_path, thr4_file, capsys):
     data = _write(tmp_path / "d.json", {"items": [{"x": 0, "y": 1}]})
     code, _, err = _run(

@@ -8,6 +8,7 @@ import pytest
 
 from unlearn_lab import (
     HalfspaceOracle,
+    OracleError,
     SeparabilityCapExceeded,
     face_centroid_id,
     halfspace_family_dataset,
@@ -182,3 +183,12 @@ def test_planar_halfspace_hollow_star_is_four():
     witness = ((0, 1), (1, 1), (2, 1), (3, 0))
     assert verify_hollow_star_set(oracle, witness)
     assert hollow_star_number(oracle, cap=4) == 4  # = d + 2, no size-5 set
+
+
+def test_non_separating_fm_point_raises_oracle_error(monkeypatch):
+    # the witness check must hold under python -O too, so it cannot be an assert
+    monkeypatch.setattr(
+        "unlearn_lab.geometry._fm_point", lambda rows, nvars, cap: [Fraction(0)] * nvars
+    )
+    with pytest.raises(OracleError):
+        strictly_separable([(1,)], [(0,)])
