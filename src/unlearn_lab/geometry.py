@@ -2,9 +2,19 @@
 
 Strict linear separability of finite point sets is decided by reducing to
 the margin-1 feasibility system (w.x - b >= 1 on positives, <= -1 on
-negatives) and eliminating variables by exact Fourier-Motzkin over
-Fractions. Floating point never enters: the constructions of interest
-sit at margins around 1/d, where rounding would misclassify.
+negatives) and eliminating variables by exact Fourier-Motzkin (FM). Each
+row is kept as Python integers: a point's row is scaled by the lcm of its
+denominators, a combined row is an integer positive combination, and
+rows are deduplicated on their coefficients divided by their gcd. Only
+the back-substituted point is rational. Floating point never enters: the
+constructions of interest sit at margins around 1/d, where rounding
+would misclassify.
+
+HalfspaceOracle reuses answers across supports: a support is
+unrealizable if some one-pair-smaller subset is, and realizable if the
+stored separator of some one-pair-smaller subset also puts the missing
+pair strictly on its side. Such reused answers run no FM and so never
+reach the row cap.
 """
 
 from __future__ import annotations
@@ -12,9 +22,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-from .core import Dataset, OracleError, Pair
+from .core import Dataset, OracleError, Pair, _check_pair
 
 Point = tuple[Fraction, ...]
 
@@ -29,60 +39,84 @@ def as_point(coords: Iterable) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
-def _normalize_row(coeffs: tuple[Fraction, ...], rhs: Fraction):
-    scale = None
-    for c in coeffs:
-        if c:
-            scale = abs(c)
-            break
-    if scale is None:
-        scale = abs(rhs) if rhs else Fraction(1)
-    return tuple(c / scale for c in coeffs), rhs / scale
+def _integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Rationals as (their numerators over the lcm of their denominators, that lcm)."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _margin_row(point: Point, label: int) -> tuple[tuple[int, ...], int]:
+    """The margin-1 row of one point over (w, b), scaled to integers.
+
+    A positive asks w.x - b >= 1, a negative w.x - b <= -1; both are
+    written as coeffs . (w, b) <= rhs and multiplied by the lcm of the
+    point's denominators.
+    """
+    ints, den = _integers(point)
+    if label:
+        return tuple(-c for c in ints) + (den,), -den
+    return ints + (-den,), -den
 
 
 def _clean(rows):
+    """Drop trivial rows and keep one row per direction, the one with the smallest rhs.
+
+    Rows are keyed on their coefficients divided by their gcd, so rows
+    that are positive multiples of each other share a key; right-hand
+    sides are compared per unit of that gcd by cross-multiplication, and
+    the first row wins on ties. Returns None if a trivial row is violated.
+    """
     out = {}
     for coeffs, rhs in rows:
-        if not any(coeffs):
+        g = gcd(*coeffs)
+        if not g:
             if rhs < 0:
                 return None
             continue
-        key = _normalize_row(coeffs, rhs)
-        prev = out.get(key[0])
-        if prev is None or key[1] < prev:
-            out[key[0]] = key[1]
-    return [(c, r) for c, r in out.items()]
+        key = coeffs if g == 1 else tuple(c // g for c in coeffs)
+        prev = out.get(key)
+        if prev is None or rhs * prev[1] < prev[0][1] * g:
+            out[key] = ((coeffs, rhs), g)
+    cleaned = []
+    for (coeffs, rhs), g in out.values():
+        common = gcd(g, rhs)  # the row's own scale, divided out to keep integers small
+        if common > 1:
+            coeffs, rhs = tuple(c // common for c in coeffs), rhs // common
+        cleaned.append((coeffs, rhs))
+    return cleaned
 
 
 def _fm_point(rows, nvars: int, cap: int) -> list[Fraction] | None:
-    """Feasible point of {coeffs . v <= rhs}, or None.
+    """Feasible point of {coeffs . v <= rhs} over integer rows, or None.
 
     Eliminates one occupied variable per level (fewest pos*neg pairings
     first), recurses, then back-substitutes a value inside the bounds the
-    eliminated rows impose.
+    eliminated rows impose. Every row is kept in integers: a combined row
+    is an integer positive combination of its parents, so the rows are
+    the rows of rational elimination up to positive scale, and the point
+    found is the same.
     """
     rows = _clean(rows)
     if rows is None:
         return None
-    if not rows:
+    best = None
+    for v, column in enumerate(zip(*[coeffs for coeffs, _ in rows])):
+        p = sum(1 for c in column if c > 0)
+        q = sum(1 for c in column if c < 0)
+        if p + q and (best is None or (p * q, p + q) < best[0]):
+            best = (p * q, p + q), v
+    if best is None:
         return [Fraction(0)] * nvars
-    occupied = [v for v in range(nvars) if any(r[0][v] for r in rows)]
-    if not occupied:
-        return [Fraction(0)] * nvars
-    def crossings(v):
-        p = sum(1 for r in rows if r[0][v] > 0)
-        q = sum(1 for r in rows if r[0][v] < 0)
-        return p * q, p + q
-    e = min(occupied, key=crossings)
+    e = best[1]
     pos = [r for r in rows if r[0][e] > 0]
     neg = [r for r in rows if r[0][e] < 0]
-    zero = [r for r in rows if not r[0][e]]
-    new_rows = list(zero)
+    new_rows = [r for r in rows if not r[0][e]]
     for pc, pr in pos:
+        a = pc[e]
         for nc, nr in neg:
-            a, b = pc[e], -nc[e]
-            coeffs = tuple(b * pc[j] + a * nc[j] if j != e else Fraction(0) for j in range(nvars))
-            new_rows.append((coeffs, b * pr + a * nr))
+            b = -nc[e]
+            # coefficient e cancels: b*a + a*(-b) == 0
+            new_rows.append((tuple([b * x + a * y for x, y in zip(pc, nc)]), b * pr + a * nr))
             if len(new_rows) > cap:
                 raise SeparabilityCapExceeded(
                     f"elimination produced more than {cap} constraints"
@@ -90,28 +124,45 @@ def _fm_point(rows, nvars: int, cap: int) -> list[Fraction] | None:
     sub = _fm_point(new_rows, nvars, cap)
     if sub is None:
         return None
+    # sub is ints/den, and sub[e] is 0 because no row below this level holds e.
+    # A row bounds v_e by (rhs*den - coeffs.ints) / (coeffs[e]*den); bounds are
+    # kept as (numerator, positive denominator) and compared by cross-multiplying.
+    ints, den = _integers(sub)
     lo = None
     hi = None
-    for coeffs, rhs in neg:
-        rest = rhs - sum(coeffs[j] * sub[j] for j in range(nvars) if j != e)
-        bound = rest / coeffs[e]  # coeff negative: lower bound
-        if lo is None or bound > lo:
+    for coeffs, rhs in neg:  # coeff negative: lower bound
+        num = sum(c * v for c, v in zip(coeffs, ints)) - rhs * den
+        bound = num, -coeffs[e] * den
+        if lo is None or num * lo[1] > lo[0] * bound[1]:
             lo = bound
     for coeffs, rhs in pos:
-        rest = rhs - sum(coeffs[j] * sub[j] for j in range(nvars) if j != e)
-        bound = rest / coeffs[e]
-        if hi is None or bound < hi:
+        num = rhs * den - sum(c * v for c, v in zip(coeffs, ints))
+        bound = num, coeffs[e] * den
+        if hi is None or num * hi[1] < hi[0] * bound[1]:
             hi = bound
     if lo is not None and hi is not None:
-        value = (lo + hi) / 2
+        value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
     elif lo is not None:
-        value = lo
-    elif hi is not None:
-        value = hi
+        value = Fraction(*lo)
     else:
-        value = Fraction(0)
+        value = Fraction(*hi)
     sub[e] = value
     return sub
+
+
+def _solve(rows, nvars: int, cap: int) -> tuple[list[Fraction], tuple[int, ...]] | None:
+    """FM point of a margin-1 system, checked in integers against every row.
+
+    Returns the point and its numerators over the lcm of its
+    denominators, or None when the system is infeasible.
+    """
+    sol = _fm_point(rows, nvars, cap)
+    if sol is None:
+        return None
+    ints, den = _integers(sol)
+    if any(sum(c * v for c, v in zip(coeffs, ints)) > rhs * den for coeffs, rhs in rows):
+        raise OracleError("Fourier-Motzkin returned a point that does not separate")
+    return sol, ints
 
 
 def strictly_separable(
@@ -132,22 +183,12 @@ def strictly_separable(
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("all points must share one dimension")
-    nv = d + 1  # w_0..w_{d-1}, b
-    rows = []
-    for p in pos:
-        rows.append((tuple(-c for c in p) + (Fraction(1),), Fraction(-1)))
-    for q in neg:
-        rows.append((tuple(q) + (Fraction(-1),), Fraction(-1)))
-    sol = _fm_point(rows, nv, row_cap)
-    if sol is None:
+    rows = [_margin_row(p, 1) for p in pos] + [_margin_row(q, 0) for q in neg]
+    found = _solve(rows, d + 1, row_cap)  # variables w_0..w_{d-1}, b
+    if found is None:
         return False, None
-    w = tuple(sol[:d])
-    b = sol[d]
-    if any(sum(wi * pi for wi, pi in zip(w, p)) - b < 1 for p in pos) or any(
-        sum(wi * qi for wi, qi in zip(w, q)) - b > -1 for q in neg
-    ):
-        raise OracleError("Fourier-Motzkin returned a point that does not separate")
-    return True, (w, b)
+    sol = found[0]
+    return True, (tuple(sol[:d]), sol[d])
 
 
 def _frac_sqrt(value: Fraction) -> Fraction:
@@ -235,7 +276,18 @@ def halfspace_family_dataset(d: int, k: int, subsets: Iterable[Sequence[int]]) -
 
 
 class HalfspaceOracle:
-    """Realizability oracle: strict separability over a fixed point list."""
+    """Realizability oracle: strict separability over a fixed point list.
+
+    Answers are memoized per support. Each realizable support also keeps
+    an integer separator, and a support is first tried against its
+    one-pair-smaller subsets: if some subset is known unrealizable, so is
+    the support (a superset of an unrealizable set is unrealizable); if
+    the separator of some subset puts the missing pair strictly on its
+    side, the support is realizable with that separator. Only when
+    neither rule answers does Fourier-Motzkin run, so a reused answer
+    never reaches `row_cap`. Each point is converted to integers on its
+    first query.
+    """
 
     def __init__(self, points: Sequence[Iterable], row_cap: int = DEFAULT_ROW_CAP):
         pts = [as_point(p) for p in points]
@@ -248,20 +300,57 @@ class HalfspaceOracle:
         self.domain_size = len(pts)
         self.row_cap = row_cap
         self._memo: dict[frozenset[Pair], bool] = {}
+        # (w_0..w_{d-1}, b) scaled to integers, for every realizable support
+        self._separators: dict[frozenset[Pair], tuple[int, ...]] = {}
+        self._rows: list[tuple | None] = [None] * len(pts)
+
+    def _point_rows(self, x: int) -> tuple:
+        """The margin-1 rows of point x under label 0 and label 1."""
+        rows = self._rows[x]
+        if rows is None:
+            point = self.points[x]
+            rows = self._rows[x] = (_margin_row(point, 0), _margin_row(point, 1))
+        return rows
+
+    def _on_side(self, separator: tuple[int, ...], pair: Pair) -> bool:
+        """True if the separator puts the point strictly on the side of its label.
+
+        That is when the point's row, coeffs . (w, b), is negative.
+        """
+        x, y = pair
+        coeffs, _ = self._point_rows(x)[y]
+        return sum(c * v for c, v in zip(coeffs, separator)) < 0
 
     def is_realizable_pairs(self, pairs: Iterable[Pair]) -> bool:
         fs = frozenset((int(x), int(y)) for x, y in pairs)
         hit = self._memo.get(fs)
         if hit is not None:
             return hit
-        pos = [self.points[x] for x, y in fs if y == 1]
-        neg = [self.points[x] for x, y in fs if y == 0]
-        if set(pos) & set(neg):
-            result = False
-        else:
-            result = strictly_separable(pos, neg, self.row_cap)[0]
+        for pair in fs:
+            _check_pair(pair, self.domain_size)
+        result = self._decide(fs)
         self._memo[fs] = result
         return result
+
+    def _decide(self, fs: frozenset[Pair]) -> bool:
+        for pair in fs:
+            sub = fs - {pair}
+            if self._memo.get(sub) is False:
+                return False
+            separator = self._separators.get(sub)
+            if separator is not None and self._on_side(separator, pair):
+                self._separators[fs] = separator
+                return True
+        # points with equal coordinates have equal rows
+        positives = {self._point_rows(x)[1] for x, y in fs if y}
+        if any(self._point_rows(x)[1] in positives for x, y in fs if not y):
+            return False  # one point under both labels
+        rows = [self._point_rows(x)[y] for x, y in fs]
+        found = _solve(rows, self.dim + 1, self.row_cap)
+        if found is None:
+            return False
+        self._separators[fs] = found[1]
+        return True
 
 
 def _solve_unique(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

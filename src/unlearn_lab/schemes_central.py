@@ -169,7 +169,13 @@ class CriticalIndex:
 
 
 class BoundedDeletionScheme:
-    """Exact scheme for deletion queries of at most k items."""
+    """Exact scheme for deletion queries of at most k items.
+
+    The aux keeps no record of item ids, because the bit model prices
+    none, so unlearn cannot tell a learned entry from a made-up one. Its
+    precondition: every deleted entry is an (id, pair) of the learned
+    dataset. An entry from elsewhere is counted as a deletion of its pair.
+    """
 
     ticketed = False
 

@@ -227,7 +227,9 @@ class ChainScheme:
     carry a ticket naming the next one, so unlearning can walk the chain
     using only tickets of deleted items. Discharging a blocker requires
     deleting every copy of one of its conflicting sides, which guarantees
-    the walk always finds the next ticket it needs.
+    the walk always finds the next ticket it needs. Every deleted entry
+    must come with its ticket (None for an item on no blocker); an id
+    with no ticket raises TicketError, as in the tree schemes.
     """
 
     ticketed = True
@@ -287,6 +289,9 @@ class ChainScheme:
         tickets: Mapping[int, ChainTicket | None],
     ) -> bool:
         distinct_ids(i for i, _ in deleted)
+        for i, _ in deleted:
+            if i not in tickets:
+                raise TicketError(f"missing ticket for deleted item {i}")
         rem0: dict[int, int] = {}
         rem1: dict[int, int] = {}
         for _, (x, y) in deleted:

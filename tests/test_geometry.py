@@ -192,3 +192,157 @@ def test_non_separating_fm_point_raises_oracle_error(monkeypatch):
     )
     with pytest.raises(OracleError):
         strictly_separable([(1,)], [(0,)])
+
+
+def _count_fm_solves(monkeypatch):
+    """Count top-level Fourier-Motzkin solves (not the recursive levels)."""
+    from unlearn_lab import geometry
+
+    real = geometry._fm_point
+    state = {"depth": 0, "solves": 0}
+
+    def counting(rows, nvars, cap):
+        if state["depth"] == 0:
+            state["solves"] += 1
+        state["depth"] += 1
+        try:
+            return real(rows, nvars, cap)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(geometry, "_fm_point", counting)
+    return state
+
+
+def _strictly_separates(w, b, positives, negatives):
+    return all(sum(wi * pi for wi, pi in zip(w, p)) > b for p in positives) and all(
+        sum(wi * qi for wi, qi in zip(w, q)) < b for q in negatives
+    )
+
+
+def test_agreement_with_convex_combination_oracle_d4():
+    rng = random.Random(65)
+    outcomes = []
+    for _ in range(30):
+        P, N = [], []
+        for _ in range(rng.randint(2, 10)):
+            pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(4))
+            (P if rng.random() < 0.5 else N).append(pt)
+        if len(P) >= 2 and len(P) + len(N) < 10 and rng.random() < 0.5:
+            p, q = rng.sample(P, 2)
+            N.append(tuple((a + b) / 2 for a, b in zip(p, q)))  # inside the positives' hull
+        ok, witness = strictly_separable(P, N)
+        assert ok == separable_bruteforce(P, N)
+        if ok:
+            assert _strictly_separates(*witness, P, N)
+        outcomes.append(ok)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize(
+    "positives, negatives, w, b",
+    [
+        (
+            [(Fraction(2, 3), -1), (Fraction(-1, 2), 3), (1, 2)],
+            [(0, Fraction(-1, 3))],
+            (11, 3),
+            0,
+        ),
+        (
+            [(Fraction(-2, 3), 1, Fraction(1, 3)), (0, Fraction(-2, 3), -1)],
+            [(Fraction(-1, 2), 3, Fraction(2, 3))],
+            (Fraction(-43, 8), Fraction(-3, 2), 0),
+            0,
+        ),
+        (
+            [(-3, Fraction(-2, 3), -1, Fraction(2, 3)), (-1, 0, Fraction(1, 3), Fraction(-1, 3))],
+            [(-1, -2, 0, Fraction(-1, 3))],
+            (-1, 2, 0, 0),
+            0,
+        ),
+        (
+            [(0, 0, 1, 0), (0, 0, 0, 1)],
+            [
+                (0, Fraction(1, 2), 0, Fraction(1, 2)),
+                (0, Fraction(1, 2), Fraction(1, 2), 0),
+                (Fraction(1, 2), 0, 0, Fraction(1, 2)),
+                (Fraction(1, 2), 0, Fraction(1, 2), 0),
+                (Fraction(1, 2), Fraction(1, 2), 0, 0),
+            ],
+            (-3, -3, 1, 1),
+            0,
+        ),
+    ],
+    ids=["d2", "d3", "d4", "d4-simplex-faces"],
+)
+def test_fm_witness_is_pinned(positives, negatives, w, b):
+    # the witnesses of elimination over Fractions; the first three need the
+    # midpoint of a nonempty interval in back-substitution
+    ok, witness = strictly_separable(positives, negatives)
+    assert ok and witness == (tuple(Fraction(c) for c in w), Fraction(b))
+
+
+def test_is_realizable_pairs_rejects_bad_pairs():
+    oracle = HalfspaceOracle([(0,), (1,), (2,)])
+    with pytest.raises(ValueError, match="outside domain"):
+        oracle.is_realizable_pairs([(-1, 1)])
+    with pytest.raises(ValueError, match="outside domain"):
+        oracle.is_realizable_pairs([(3, 0)])
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        oracle.is_realizable_pairs([(0, 2), (0, 1)])
+    assert oracle.is_realizable_pairs([(0, 0), (2, 1)])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_oracle_reuse_matches_bruteforce_on_walks(monkeypatch, d):
+    state = _count_fm_solves(monkeypatch)
+    rng = random.Random(60 + d)
+    reused = {True: 0, False: 0}
+    for _ in range(4):
+        distinct: dict = {}
+        while len(distinct) < 7:
+            pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+            distinct[pt] = None
+        pts = list(distinct)
+        oracle = HalfspaceOracle(pts)
+        support: dict[int, int] = {}
+        seen = set()
+        for _ in range(30):
+            if support and (len(support) == len(pts) or rng.random() < 0.35):
+                del support[rng.choice(sorted(support))]
+            else:
+                x = rng.choice([x for x in range(len(pts)) if x not in support])
+                support[x] = rng.randint(0, 1)
+            fs = frozenset(support.items())
+            before = state["solves"]
+            got = oracle.is_realizable_pairs(fs)
+            pos = [pts[x] for x, y in fs if y]
+            neg = [pts[x] for x, y in fs if not y]
+            assert got == separable_bruteforce(pos, neg)
+            if fs not in seen and state["solves"] == before:
+                reused[got] += 1  # answered by a subset, without a solve
+            seen.add(fs)
+    assert reused[True] > 0 and reused[False] > 0
+
+
+def test_bounded_learn_fm_solve_count_is_pinned(monkeypatch):
+    from unlearn_lab import BoundedDeletionScheme, halfspace_lb_instance
+
+    class DistinctSupports:
+        def __init__(self, inner):
+            self.inner = inner
+            self.domain_size = inner.domain_size
+            self.seen = set()
+
+        def is_realizable_pairs(self, pairs):
+            fs = frozenset(pairs)
+            self.seen.add(fs)
+            return self.inner.is_realizable_pairs(fs)
+
+    state = _count_fm_solves(monkeypatch)
+    inst = halfspace_lb_instance(4, 2)
+    handle = DistinctSupports(inst.handle)
+    answer, aux = BoundedDeletionScheme(handle, 2).learn(inst.dataset_of((1, 0, 1, 1, 0, 1)))
+    assert answer is False and len(aux.critical_sets) == 2
+    assert len(handle.seen) == 35
+    assert state["solves"] == 31 < len(handle.seen)

@@ -259,3 +259,14 @@ def test_erm_merkle_matches_trivial_erm_on_realizable_data():
         assert scheme.unlearn(entries, aux_m, {i: tickets[i] for i in ids}) == trivial.unlearn(
             entries, aux_t
         )
+
+
+def test_chain_unknown_id_raises_ticket_error():
+    scheme = ChainScheme(2, 4)
+    data = Dataset.from_pairs([(0, 1), (0, 0), (1, 1)])
+    _, aux, tickets = scheme.learn(data)
+    with pytest.raises(TicketError):
+        scheme.unlearn([(99, (0, 1))], aux, {})
+    with pytest.raises(TicketError):
+        scheme.unlearn([(1, (0, 1)), (99, (0, 0))], aux, {1: tickets[1]})
+    assert scheme.unlearn(data.entries_for([1]), aux, {1: tickets[1]}) is True
