@@ -2,13 +2,17 @@
 
 Computes VC dimension, Littlestone dimension, star number, hollow star
 number, eluder dimension, and the minimum identification set, each with a
-witness that the matching verifier accepts. Searches run over any
-realizability oracle except Littlestone and the identification set, whose
-recursions need an explicit hypothesis list.
+witness that the matching verifier accepts. VC, star, hollow star and
+eluder run on one search engine over the support lattice (`_Lattice`) and
+so over any realizability oracle; Littlestone and the identification set
+need an explicit hypothesis list.
 
 Every search takes a cap and returns the CAP_EXCEEDED sentinel when a
-witness of size cap+1 exists. At desk scale (m up to ~10, |H| up to ~64)
-the DFS with memoization is exact.
+witness of size cap+1 exists. On a finite class the searches are exact at
+their default caps; with m=12 points and |H|=64 hypotheses `compute_dims`
+takes about half a second (Python 3.11 on a 2-vCPU virtual machine). The
+hollow search tries every labeled support larger than the answer, so its
+cost grows as 3^m and sets the limit of that scale.
 """
 
 from __future__ import annotations
@@ -17,37 +21,81 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable
 
-from .core import ClassHandle, FiniteClass, Pair
+from .core import ClassHandle, FiniteClass, Pair, _check_pair, is_realizable
 
 CAP_EXCEEDED = "cap-exceeded"
 
 DimValue = int | str  # a natural or the CAP_EXCEEDED sentinel
 
 
-class _Search:
-    """Realizability-query layer; memoizes oracle answers on supports."""
+class _Lattice:
+    """The support lattice of one search: opaque states, a meet and a test.
+
+    `top` is the state of the empty support, `pairs[x][y]` the state of
+    {(x, y)}, `meet(a, b)` the state of the union of two supports and
+    `ok(s)` whether its support is realizable. For a FiniteClass a state
+    is a version-space mask: the meet is `&`, `ok` is `!= 0`, and every
+    support with the same version space is one state. For an oracle a
+    state is the support itself, the meet is union, and `ok` memoizes the
+    oracle's answers, so searches that share a lattice share its queries.
+    """
+
+    __slots__ = ("m", "top", "pairs", "meet", "ok")
 
     def __init__(self, handle: ClassHandle):
-        self.handle = handle
-        self.m = handle.domain_size
-        self.finite = isinstance(handle, FiniteClass)
-        self._memo: dict[frozenset[Pair], bool] = {}
+        m = self.m = handle.domain_size
+        if isinstance(handle, FiniteClass):
+            # through vs_mask, once each, so pairs are validated as usual
+            self.top = handle.vs_mask(())
+            self.pairs = tuple(
+                (handle.vs_mask(((x, 0),)), handle.vs_mask(((x, 1),))) for x in range(m)
+            )
+            self.meet = int.__and__
+            self.ok = bool
+        else:
+            self.top = frozenset()
+            self.pairs = tuple((frozenset({(x, 0)}), frozenset({(x, 1)})) for x in range(m))
+            self.meet = frozenset.union
+            self.ok = _memoized(handle)
 
-    def realizable(self, pairs: frozenset[Pair]) -> bool:
-        if self.finite:
-            return self.handle.vs_mask(pairs) != 0
-        cached = self._memo.get(pairs)
+
+def _memoized(handle: ClassHandle):
+    """The oracle's answers, memoized; a support holding both labels of a
+    point is unrealizable without a call."""
+    memo: dict[frozenset[Pair], bool] = {}
+
+    def ok(pairs: frozenset[Pair]) -> bool:
+        cached = memo.get(pairs)
         if cached is None:
-            if any((x, 1 - y) in pairs for x, y in pairs):
-                cached = False
-            else:
-                cached = self.handle.is_realizable_pairs(pairs)
-            self._memo[pairs] = cached
+            cached = memo[pairs] = not any(
+                (x, 1 - y) in pairs for x, y in pairs
+            ) and handle.is_realizable_pairs(pairs)
         return cached
 
-    def ambiguous(self, pairs: frozenset[Pair], x: int) -> bool:
-        """Both labels at x stay realizable together with `pairs`."""
-        return self.realizable(pairs | {(x, 0)}) and self.realizable(pairs | {(x, 1)})
+    return ok
+
+
+def _tables(lat: _Lattice, size: int):
+    """Every size-point combination in lexicographic order, with the states
+    of its 2^size labelings.
+
+    Labeling `lab` gives the i-th point the label in bit size-1-i of
+    `lab`, so a table runs in `product((0, 1), repeat=size)` order and
+    flipping the i-th label is `lab ^ (1 << (size-1-i))`. Combinations
+    that share a prefix share the prefix's table.
+    """
+    m, meet, pairs = lat.m, lat.meet, lat.pairs
+
+    def grow(start: int, points: tuple[int, ...], table: list):
+        if len(points) == size:
+            yield points, table
+            return
+        for x in range(start, m - size + len(points) + 1):
+            s0, s1 = pairs[x]
+            grown = [t for s in table for t in (meet(s, s0), meet(s, s1))]
+            yield from grow(x + 1, points + (x,), grown)
+
+    return grow(0, (), [lat.top])
 
 
 class _CapHit(Exception):
@@ -55,21 +103,10 @@ class _CapHit(Exception):
         self.witness = witness
 
 
-def _shatters(ctx: _Search, points: tuple[int, ...]) -> bool:
-    for labels in product((0, 1), repeat=len(points)):
-        if not ctx.realizable(frozenset(zip(points, labels))):
-            return False
-    return True
-
-
-def _vc_search(ctx: _Search, cap: int) -> tuple[DimValue, tuple[int, ...]]:
+def _vc_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[int, ...]]:
     best, witness = 0, ()
     for k in range(1, cap + 2):
-        found = None
-        for points in combinations(range(ctx.m), k):
-            if _shatters(ctx, points):
-                found = points
-                break
+        found = next((pts for pts, table in _tables(lat, k) if all(map(lat.ok, table))), None)
         if found is None:
             break  # shattering is downward closed
         if k == cap + 1:
@@ -78,70 +115,73 @@ def _vc_search(ctx: _Search, cap: int) -> tuple[DimValue, tuple[int, ...]]:
     return best, witness
 
 
-def _is_star_set(ctx: _Search, pairs: tuple[Pair, ...]) -> bool:
-    fs = frozenset(pairs)
-    if not ctx.realizable(fs):
-        return False
-    for x, y in pairs:
-        if not ctx.realizable((fs - {(x, y)}) | {(x, 1 - y)}):
-            return False
-    return True
-
-
-def _star_search(ctx: _Search, cap: int) -> tuple[DimValue, tuple[Pair, ...]]:
+def _star_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...]]:
     # Star sets are downward closed under removing a pair, so DFS over
     # point-sorted extensions with the full property check is exhaustive.
+    # Along the DFS, flips[i] is the state of the current set with its
+    # i-th label flipped; adding a pair meets each with it.
+    meet, ok, pairs = lat.meet, lat.ok, lat.pairs
     best: tuple[int, tuple[Pair, ...]] = (0, ())
 
-    def extend(pairs: tuple[Pair, ...], next_x: int):
+    def grown_flips(state, flips: list, x: int, y: int) -> list | None:
+        p = pairs[x][y]
+        out = []
+        for f in flips:
+            f = meet(f, p)
+            if not ok(f):
+                return None
+            out.append(f)
+        last = meet(state, pairs[x][1 - y])
+        if not ok(last):
+            return None
+        out.append(last)
+        return out
+
+    def extend(cand: tuple[Pair, ...], state, flips: list, next_x: int):
         nonlocal best
-        for x in range(next_x, ctx.m):
+        for x in range(next_x, lat.m):
             for y in (0, 1):
-                cand = pairs + ((x, y),)
-                if _is_star_set(ctx, cand):
-                    if len(cand) == cap + 1:
-                        raise _CapHit(cand)
-                    if len(cand) > best[0]:
-                        best = (len(cand), cand)
-                    extend(cand, x + 1)
+                grown = meet(state, pairs[x][y])
+                if not ok(grown):
+                    continue
+                grown_f = grown_flips(state, flips, x, y)
+                if grown_f is None:
+                    continue
+                star = cand + ((x, y),)
+                if len(star) == cap + 1:
+                    raise _CapHit(star)
+                if len(star) > best[0]:
+                    best = (len(star), star)
+                extend(star, grown, grown_f, x + 1)
 
     try:
-        extend((), 0)
+        extend((), lat.top, [], 0)
     except _CapHit as hit:
         return CAP_EXCEEDED, hit.witness
     return best[0], best[1]
 
 
-def _is_hollow_star_set(ctx: _Search, pairs: Iterable[Pair]) -> bool:
-    fs = frozenset(pairs)
-    if not fs or ctx.realizable(fs):
-        return False
-    for x, y in fs:
-        if not ctx.realizable((fs - {(x, y)}) | {(x, 1 - y)}):
-            return False
-    return True
-
-
-def _find_hollow(ctx: _Search, size: int) -> tuple[Pair, ...] | None:
+def _find_hollow(lat: _Lattice, size: int) -> tuple[Pair, ...] | None:
     # A set holding both labels of one point is unrealizable outright; any
     # further pair keeps it unrealizable under flips, so such sets only
-    # qualify at size exactly 2. Larger candidates have distinct points.
+    # qualify at size exactly 2, when both singletons are realizable.
+    # Larger candidates have distinct points.
+    ok = lat.ok
     if size == 2:
-        for x in range(ctx.m):
-            cand = ((x, 0), (x, 1))
-            if _is_hollow_star_set(ctx, cand):
-                return cand
-    for points in combinations(range(ctx.m), size):
-        for labels in product((0, 1), repeat=size):
-            cand = tuple(zip(points, labels))
-            if _is_hollow_star_set(ctx, cand):
-                return cand
+        for x, (s0, s1) in enumerate(lat.pairs):
+            if ok(s0) and ok(s1):
+                return ((x, 0), (x, 1))
+    flips = [1 << i for i in range(size)]
+    for points, table in _tables(lat, size):
+        for lab, state in enumerate(table):
+            if not ok(state) and all(ok(table[lab ^ f]) for f in flips):
+                return tuple((x, lab >> (size - 1 - i) & 1) for i, x in enumerate(points))
     return None
 
 
-def _hollow_search(ctx: _Search, cap: int) -> tuple[DimValue, tuple[Pair, ...] | None]:
+def _hollow_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...] | None]:
     for size in range(cap + 1, 0, -1):
-        witness = _find_hollow(ctx, size)
+        witness = _find_hollow(lat, size)
         if witness is not None:
             if size == cap + 1:
                 return CAP_EXCEEDED, witness
@@ -149,36 +189,38 @@ def _hollow_search(ctx: _Search, cap: int) -> tuple[DimValue, tuple[Pair, ...] |
     return 0, None
 
 
-def _eluder_search(ctx: _Search, cap: int) -> tuple[DimValue, tuple[Pair, ...]]:
-    # Longest extension depth from a realizable constraint support. The
-    # depth of a support does not depend on how it was reached, so the
-    # memo key is the support alone. No point can recur in a sequence
-    # (once constrained, it is never ambiguous again), so depth <= m.
-    memo: dict[frozenset[Pair], tuple[int, Pair | None]] = {}
+def _eluder_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...]]:
+    # Longest extension depth from a realizable constraint support. Which
+    # points are ambiguous depends only on the state, so the memo is keyed
+    # on it. No point can recur in a sequence (once constrained, it is
+    # never ambiguous again), so depth <= m.
+    meet, ok, pairs = lat.meet, lat.ok, lat.pairs
+    memo: dict[object, tuple[int, Pair | None]] = {}
 
-    def depth(fs: frozenset[Pair]) -> tuple[int, Pair | None]:
-        hit = memo.get(fs)
+    def depth(state) -> tuple[int, Pair | None]:
+        hit = memo.get(state)
         if hit is not None:
             return hit
         best, move = 0, None
-        for x in range(ctx.m):
-            if ctx.ambiguous(fs, x):
-                for y in (0, 1):
-                    d, _ = depth(fs | {(x, y)})
+        for x, (p0, p1) in enumerate(pairs):
+            s0 = meet(state, p0)
+            if ok(s0) and ok(s1 := meet(state, p1)):
+                for y, child in ((0, s0), (1, s1)):
+                    d, _ = depth(child)
                     if 1 + d > best:
                         best, move = 1 + d, (x, y)
-        memo[fs] = (best, move)
+        memo[state] = (best, move)
         return best, move
 
-    total, _ = depth(frozenset())
+    total, _ = depth(lat.top)
     seq: list[Pair] = []
-    fs: frozenset[Pair] = frozenset()
+    state = lat.top
     while True:
-        _, move = memo[fs]
+        _, move = memo[state]
         if move is None:
             break
         seq.append(move)
-        fs = fs | {move}
+        state = meet(state, pairs[move[0]][move[1]])
     witness = tuple(seq)
     if total > cap:
         return CAP_EXCEEDED, witness[: cap + 1]
@@ -241,52 +283,71 @@ def min_identification_set(fc: FiniteClass) -> tuple[int, ...]:
     return cached  # type: ignore[return-value]
 
 
+def _default_caps(handle: ClassHandle) -> dict[str, int]:
+    """Caps of the public searches; for a finite class, the provable maxima."""
+    m = handle.domain_size
+    eluder = min(m, len(handle.hypotheses) - 1) if isinstance(handle, FiniteClass) else m
+    return {"vc": m, "star": m, "hollow_star": m + 1, "eluder": eluder}
+
+
 def vc_dimension(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    cap = handle.domain_size if cap is None else cap
-    return _vc_search(_Search(handle), cap)[0]
+    cap = _default_caps(handle)["vc"] if cap is None else cap
+    return _vc_search(_Lattice(handle), cap)[0]
 
 
 def star_number(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    cap = handle.domain_size if cap is None else cap
-    return _star_search(_Search(handle), cap)[0]
+    cap = _default_caps(handle)["star"] if cap is None else cap
+    return _star_search(_Lattice(handle), cap)[0]
 
 
 def hollow_star_number(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    cap = handle.domain_size + 1 if cap is None else cap
-    return _hollow_search(_Search(handle), cap)[0]
+    cap = _default_caps(handle)["hollow_star"] if cap is None else cap
+    return _hollow_search(_Lattice(handle), cap)[0]
 
 
 def eluder_dimension(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    if cap is None:
-        cap = handle.domain_size
-        if isinstance(handle, FiniteClass):
-            cap = min(cap, len(handle.hypotheses) - 1)
-    return _eluder_search(_Search(handle), cap)[0]
+    cap = _default_caps(handle)["eluder"] if cap is None else cap
+    return _eluder_search(_Lattice(handle), cap)[0]
 
 
-# Witness verifiers. Each checks a certificate independently of the
-# search that produced it.
+# Witness verifiers. Each builds every support it needs explicitly and asks
+# core.is_realizable, so it shares no code with the searches above.
+
+def _checked(handle: ClassHandle, pairs: Iterable[Pair]) -> tuple[Pair, ...]:
+    out = tuple(pairs)
+    for pair in out:
+        _check_pair(pair, handle.domain_size)
+    return out
+
+
+def _flips_realizable(handle: ClassHandle, fs: frozenset[Pair]) -> bool:
+    return all(is_realizable(handle, (fs - {(x, y)}) | {(x, 1 - y)}) for x, y in fs)
+
 
 def verify_shattered(handle: ClassHandle, points: Iterable[int]) -> bool:
     pts = tuple(points)
+    _checked(handle, ((x, 0) for x in pts))
     if len(set(pts)) != len(pts):
         return False
-    return _shatters(_Search(handle), pts)
+    return all(
+        is_realizable(handle, zip(pts, labels)) for labels in product((0, 1), repeat=len(pts))
+    )
 
 
 def verify_star_set(handle: ClassHandle, pairs: Iterable[Pair]) -> bool:
-    return _is_star_set(_Search(handle), tuple(pairs))
+    fs = frozenset(_checked(handle, pairs))
+    return is_realizable(handle, fs) and _flips_realizable(handle, fs)
 
 
 def verify_hollow_star_set(handle: ClassHandle, pairs: Iterable[Pair]) -> bool:
-    return _is_hollow_star_set(_Search(handle), pairs)
+    fs = frozenset(_checked(handle, pairs))
+    return bool(fs) and not is_realizable(handle, fs) and _flips_realizable(handle, fs)
 
 
 def verify_eluder_sequence(handle: ClassHandle, seq: Iterable[Pair]) -> bool:
-    ctx = _Search(handle)
     fs: frozenset[Pair] = frozenset()
-    for x, y in seq:
-        if not ctx.ambiguous(fs, x):
+    for x, y in _checked(handle, seq):
+        if not (is_realizable(handle, fs | {(x, 0)}) and is_realizable(handle, fs | {(x, 1)})):
             return False
         fs = fs | {(x, y)}
     return True
@@ -364,22 +425,17 @@ def compute_dims(
     `cap` (default 6) for every search and skip Littlestone and the
     identification set.
     """
-    ctx = _Search(handle)
-    m = handle.domain_size
+    lat = _Lattice(handle)
     finite = isinstance(handle, FiniteClass)
-    if finite:
-        vc_cap = cap if cap is not None else m
-        star_cap = cap if cap is not None else m
-        hollow_cap = cap if cap is not None else m + 1
-        eluder_cap = cap if cap is not None else min(m, len(handle.hypotheses) - 1)
+    if finite and cap is None:
+        caps = _default_caps(handle)
     else:
-        c = cap if cap is not None else 6
-        vc_cap = star_cap = hollow_cap = eluder_cap = c
+        caps = dict.fromkeys(("vc", "star", "hollow_star", "eluder"), 6 if cap is None else cap)
 
-    vc, vc_w = _vc_search(ctx, vc_cap)
-    star, star_w = _star_search(ctx, star_cap)
-    hollow, hollow_w = _hollow_search(ctx, hollow_cap)
-    eluder, eluder_w = _eluder_search(ctx, eluder_cap)
+    vc, vc_w = _vc_search(lat, caps["vc"])
+    star, star_w = _star_search(lat, caps["star"])
+    hollow, hollow_w = _hollow_search(lat, caps["hollow_star"])
+    eluder, eluder_w = _eluder_search(lat, caps["eluder"])
     if finite:
         ls, ls_tree = _littlestone(handle)
         mis_w = _mis_search(handle)
@@ -405,10 +461,5 @@ def compute_dims(
         eluder=eluder,
         mis=mis,
         witnesses=wit,
-        caps={
-            "vc": vc_cap,
-            "star": star_cap,
-            "hollow_star": hollow_cap,
-            "eluder": eluder_cap,
-        },
+        caps=caps,
     )
