@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     ClassHandle,
@@ -185,6 +186,45 @@ def mergeable_decode(handle: ClassHandle, enc: VsEncoding) -> bool:
     if isinstance(handle, FiniteClass):
         return decode_mask(handle, enc) != 0
     return enc.realizable
+
+
+class NodeStates:
+    """The node states of an aggregation tree over one class handle.
+
+    `empty()` is the state of the empty dataset (padding leaves and the
+    start of a fold), `leaves(pairs)` the states of the one-item datasets
+    in order, `meet(a, b)` the state of the union of two datasets,
+    `encode(s)` its canonical encoding and `state(enc)` the state an
+    encoding stands for. For a FiniteClass a state is a version-space
+    mask: the meet is `&`, each distinct pair of a `leaves` call goes
+    through `vs_mask` once (so pairs are validated as usual), and `encode`
+    reads the mask-keyed canonical cache, so building a tree never decodes
+    an encoding. For an oracle a state is the encoding itself, built by
+    `vs_encode` and `merge` exactly as those calls would build it; `empty`
+    is a call rather than a value so that the oracle is asked at each use,
+    as `vs_encode(handle, ())` asks it.
+    """
+
+    __slots__ = ("empty", "leaves", "meet", "encode", "state")
+
+    def __init__(self, handle: ClassHandle):
+        if isinstance(handle, FiniteClass):
+            full = handle.full_mask
+            self.empty = lambda: full
+            self.leaves = partial(_leaf_masks, handle)
+            self.meet = int.__and__
+            self.encode = partial(_canonical_from_mask, handle)
+            self.state = partial(decode_mask, handle)
+        else:
+            self.empty = partial(vs_encode, handle, ())
+            self.leaves = lambda pairs: [vs_encode(handle, (p,)) for p in pairs]
+            self.meet = partial(merge, handle)
+            self.encode = self.state = lambda enc: enc
+
+
+def _leaf_masks(fc: FiniteClass, pairs: Sequence[Pair]) -> list[int]:
+    masks = {p: fc.vs_mask((p,)) for p in dict.fromkeys(pairs)}
+    return list(map(masks.__getitem__, pairs))
 
 
 def mergeable_triple(

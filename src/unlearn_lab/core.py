@@ -110,12 +110,19 @@ class FiniteClass:
         return self._masks[x][y]
 
     def vs_mask(self, pairs: Iterable[Pair]) -> int:
-        """Bitmask of hypotheses consistent with every given pair."""
+        """Bitmask of hypotheses consistent with every given pair.
+
+        Every pair is validated, also those after the one that empties
+        the version space.
+        """
         mask = self._full_mask
+        pairs = iter(pairs)
         for x, y in pairs:
             _check_pair((x, y), self.domain_size)
             mask &= self._masks[x][y]
             if not mask:
+                for rest in pairs:
+                    _check_pair(rest, self.domain_size)
                 return 0
         return mask
 
@@ -181,8 +188,21 @@ class Dataset:
         self._support: Counter | None = None
 
     @classmethod
+    def _trusted(cls, entries: tuple[Entry, ...], by_id: dict[int, Pair]) -> "Dataset":
+        """A dataset of normalized entries whose ids are known to be valid."""
+        out = cls.__new__(cls)
+        out.entries = entries
+        out._by_id = by_id
+        out._support = None
+        return out
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[Pair]) -> "Dataset":
-        return cls((i + 1, pair) for i, pair in enumerate(pairs))
+        norm = [(int(x), int(y)) for x, y in pairs]
+        if not {y for _, y in norm} <= {0, 1}:
+            raise ValueError("labels must be 0 or 1")
+        entries = tuple(zip(range(1, len(norm) + 1), norm))  # ids 1..n need no check
+        return cls._trusted(entries, dict(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -215,7 +235,11 @@ class Dataset:
 
     def remove(self, indices: Iterable[int]) -> "Dataset":
         idx = validate_query(self, indices)
-        return Dataset(e for e in self.entries if e[0] not in idx)
+        # the survivors were validated and normalized when this dataset was built
+        by_id = self._by_id.copy()
+        for i in idx:
+            del by_id[i]
+        return Dataset._trusted(tuple(e for e in self.entries if e[0] not in idx), by_id)
 
     def entries_for(self, indices: Iterable[int]) -> tuple[Entry, ...]:
         idx = validate_query(self, indices)
@@ -251,10 +275,14 @@ def is_realizable(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> bool:
     """True iff some hypothesis agrees with every distinct pair of the data.
 
     Multiplicities are irrelevant; the empty dataset is always realizable.
-    Oracle failures propagate as OracleError.
+    A pair outside the domain raises ValueError, also in a support that
+    holds both labels of some point. Oracle failures propagate as
+    OracleError.
     """
     pairs = support_pairs(data)
     if any((x, 1 - y) in pairs for x, y in pairs):
+        for pair in pairs:
+            _check_pair(pair, handle.domain_size)
         return False
     return handle.is_realizable_pairs(pairs)
 

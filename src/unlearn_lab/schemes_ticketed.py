@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 
-from .compression import VsEncoding, merge, mergeable_decode, vs_decode, vs_encode
+from .compression import NodeStates, VsEncoding, decode_mask
 from .core import ClassHandle, Dataset, Entry, FiniteClass, count_bits, distinct_ids
 from .schemes_central import PreconditionError
 
@@ -55,39 +56,39 @@ class _AggregationTreeScheme:
     its children, hence the encoding of its whole subtree. The ticket of
     leaf i lists the sibling encodings along the root-to-i path, which is
     exactly what unlearning needs to re-encode any survivor set that
-    excludes leaf i.
+    excludes leaf i. The tree is built and folded in the node states of
+    `compression.NodeStates` (version-space masks on a FiniteClass) and
+    turned into encodings only where a ticket or a root needs one.
     """
 
     ticketed = True
 
     def __init__(self, handle: ClassHandle, encoding_cap: int | None = None):
         self.handle = handle
+        self.states = NodeStates(handle)
         self.encoding_cap = (
             encoding_cap if encoding_cap is not None else 2 * handle.domain_size
         )
 
     def _learn_tree(self, data: Dataset) -> tuple[VsEncoding, dict[int, Ticket]]:
-        n = len(data)
-        size = 1 << tree_depth(n)
-        empty = vs_encode(self.handle, ())
-        nodes: list[VsEncoding | None] = [None] * (2 * size)
-        pairs = data.pairs()
-        for leaf in range(size):
-            if leaf < n:
-                nodes[size + leaf] = vs_encode(self.handle, (pairs[leaf],))
-            else:
-                nodes[size + leaf] = empty
-        for v in range(size - 1, 0, -1):
-            nodes[v] = merge(self.handle, nodes[2 * v], nodes[2 * v + 1])
-        tickets: dict[int, Ticket] = {}
-        for item_id, _ in data.entries:
-            sibs = []
-            v = size + item_id - 1
-            while v > 1:
-                sibs.append(nodes[v ^ 1])
-                v //= 2
-            tickets[item_id] = Ticket(item_id, tuple(reversed(sibs)))
-        return nodes[1], tickets
+        states = self.states
+        size = 1 << tree_depth(len(data))
+        pad = states.empty()
+        level = states.leaves(data.pairs())
+        level += [pad] * (size - len(level))
+        # Bottom up, one column per level: every leaf's sibling at that
+        # level, each node's sibling repeated over the node's leaves.
+        columns = []
+        while len(level) > 1:
+            sibs = list(map(states.encode, level))
+            sibs[::2], sibs[1::2] = sibs[1::2], sibs[::2]
+            span = repeat(size // len(level))
+            columns.append(chain.from_iterable(map(repeat, sibs, span)))
+            level = list(map(states.meet, level[::2], level[1::2]))
+        paths = list(zip(*reversed(columns))) if columns else [()]
+        # the leaf is the item id: an id above the padded size raises IndexError
+        tickets = {i: Ticket(i, paths[i - 1]) for i, _ in data.entries}
+        return states.encode(level[0]), tickets
 
     def _fold_survivor(
         self, deleted: Sequence[Entry], tickets: Mapping[int, Ticket]
@@ -123,10 +124,11 @@ class _AggregationTreeScheme:
                 dirty.add(v)
                 v //= 2
             dirty.add(v)
-        folded = vs_encode(self.handle, ())
+        states = self.states
+        folded = states.empty()
         for v in sorted(provided.keys() - dirty):
-            folded = merge(self.handle, folded, provided[v])
-        return folded
+            folded = states.meet(folded, states.state(provided[v]))
+        return states.encode(folded)
 
     def ticket_bits(self, ticket: Ticket) -> int:
         m = self.handle.domain_size
@@ -142,16 +144,15 @@ class MerkleScheme(_AggregationTreeScheme):
 
     def learn(self, data: Dataset) -> tuple[bool, bool, dict[int, Ticket]]:
         root, tickets = self._learn_tree(data)
-        answer = mergeable_decode(self.handle, root)
-        return answer, answer, tickets
+        # a canonical encoding is realizable exactly when it decodes to yes
+        return root.realizable, root.realizable, tickets
 
     def unlearn(
         self, deleted: Sequence[Entry], aux: bool, tickets: Mapping[int, Ticket]
     ) -> bool:
         if not deleted:
             return aux
-        folded = self._fold_survivor(deleted, tickets)
-        return mergeable_decode(self.handle, folded)
+        return self._fold_survivor(deleted, tickets).realizable
 
     def aux_bits(self, aux: bool) -> int:
         return 1
@@ -170,10 +171,10 @@ class ErmMerkleScheme(_AggregationTreeScheme):
         super().__init__(fc, encoding_cap)
 
     def _decode_erm(self, enc: VsEncoding) -> int:
-        members = vs_decode(self.handle, enc)
-        if not members:
+        mask = decode_mask(self.handle, enc)
+        if not mask:
             raise PreconditionError("survivor dataset is not realizable")
-        return min(members)
+        return (mask & -mask).bit_length() - 1  # the lowest member's index
 
     def learn(self, data: Dataset) -> tuple[int, int, dict[int, Ticket]]:
         root, tickets = self._learn_tree(data)
@@ -185,8 +186,7 @@ class ErmMerkleScheme(_AggregationTreeScheme):
     ) -> int:
         if not deleted:
             return aux
-        folded = self._fold_survivor(deleted, tickets)
-        return self._decode_erm(folded)
+        return self._decode_erm(self._fold_survivor(deleted, tickets))
 
     def aux_bits(self, aux: int) -> int:
         return (len(self.handle.hypotheses) - 1).bit_length()

@@ -1,0 +1,235 @@
+"""The tree schemes against a reference tree built from the public
+compression calls, pinned version-space mask counts, and the dataset and
+validation contracts the tree build relies on."""
+
+import random
+
+import pytest
+
+from unlearn_lab import (
+    Dataset,
+    ErmMerkleScheme,
+    FiniteClass,
+    HalfspaceOracle,
+    MerkleScheme,
+    UnknownItemError,
+    is_realizable,
+    merge,
+    mergeable_decode,
+    random_finite_class,
+    thresholds_1d,
+    vs_decode,
+    vs_encode,
+)
+
+SIZES = (0, 1, 2, 3, 5, 8, 13, 64)
+
+
+def _reference_tree(handle, pairs):
+    """Heap-indexed nodes (root 1, leaves from `size`), merged level by level."""
+    size = 1 << (max(len(pairs), 1) - 1).bit_length()
+    empty = vs_encode(handle, ())
+    level = [vs_encode(handle, (p,)) for p in pairs] + [empty] * (size - len(pairs))
+    nodes = {size + j: enc for j, enc in enumerate(level)}
+    first = size
+    while len(level) > 1:
+        level = [merge(handle, a, b) for a, b in zip(level[::2], level[1::2])]
+        first //= 2
+        nodes.update((first + j, enc) for j, enc in enumerate(level))
+    return size, nodes
+
+
+def _reference_fold(handle, size, nodes, ids):
+    """Merge chain over the off-path siblings of the deleted leaves, in node order."""
+    path, sibs = set(), set()
+    for i in ids:
+        v = size + i - 1
+        while v > 1:
+            path.add(v)
+            sibs.add(v ^ 1)
+            v //= 2
+    folded = vs_encode(handle, ())
+    for v in sorted(sibs - path):
+        folded = merge(handle, folded, nodes[v])
+    return folded
+
+
+def _check_against_reference(scheme, handle, data, rng, decode):
+    size, nodes = _reference_tree(handle, data.pairs())
+    root, tickets = scheme._learn_tree(data)
+    assert root == nodes[1]
+    assert sorted(tickets) == list(range(1, len(data) + 1))
+    for i, t in tickets.items():
+        v, path = size + i - 1, []
+        while v > 1:
+            path.append(nodes[v ^ 1])
+            v //= 2
+        assert t.leaf == i and t.siblings == tuple(reversed(path))
+    answer, aux, _ = scheme.learn(data)
+    assert answer == aux == decode(handle, nodes[1])
+    for _ in range(6 if data else 0):
+        ids = rng.sample(range(1, len(data) + 1), rng.randint(1, min(4, len(data))))
+        entries = data.entries_for(ids)
+        want = _reference_fold(handle, size, nodes, ids)
+        assert scheme._fold_survivor(entries, tickets) == want
+        assert scheme.unlearn(entries, aux, {i: tickets[i] for i in ids}) == decode(handle, want)
+
+
+def _labeled(rng, fc, n):
+    """n items labeled by one hypothesis, a few of them flipped."""
+    row = fc.hypotheses[rng.randrange(len(fc))]
+    xs = [rng.randrange(fc.domain_size) for _ in range(n)]
+    return Dataset.from_pairs((x, row[x] ^ (rng.random() < 0.05)) for x in xs)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_merkle_tree_matches_reference_on_finite_classes(n):
+    rng = random.Random(900 + n)
+    for _ in range(12):
+        fc = random_finite_class(rng, max_m=6, max_h=16)
+        _check_against_reference(MerkleScheme(fc), fc, _labeled(rng, fc, n), rng, mergeable_decode)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_erm_tree_matches_reference_on_realizable_data(n):
+    rng = random.Random(950 + n)
+
+    def erm(fc, enc):
+        return min(vs_decode(fc, enc))
+
+    for _ in range(12):
+        fc = random_finite_class(rng, max_m=6, max_h=16)
+        row = fc.hypotheses[rng.randrange(len(fc))]
+        data = Dataset.from_pairs(
+            (x, row[x]) for x in (rng.randrange(fc.domain_size) for _ in range(n))
+        )
+        _check_against_reference(ErmMerkleScheme(fc), fc, data, rng, erm)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_merkle_tree_matches_reference_on_a_halfspace_oracle(n):
+    rng = random.Random(990 + n)
+    points = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+    for _ in range(3):
+        oracle = HalfspaceOracle(points)
+        w = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
+        xs = [rng.randrange(len(points)) for _ in range(n)]
+        data = Dataset.from_pairs(
+            (x, int(w[0] * points[x][0] + w[1] * points[x][1] + w[2] > 0) ^ (rng.random() < 0.1))
+            for x in xs
+        )
+        _check_against_reference(MerkleScheme(oracle), oracle, data, rng, mergeable_decode)
+
+
+class _CountingClass(FiniteClass):
+    __slots__ = ("calls",)
+
+    def __init__(self, domain_size, hypotheses):
+        super().__init__(domain_size, hypotheses)
+        self.calls = 0
+
+    def vs_mask(self, pairs):
+        self.calls += 1
+        return super().vs_mask(pairs)
+
+
+def _counting_setup():
+    rng = random.Random(77)
+    rows = [[rng.randint(0, 1) for _ in range(8)] for _ in range(24)]
+    fc = _CountingClass(8, rows)
+    row = fc.hypotheses[5]
+    xs = [rng.randrange(8) for _ in range(300)]
+    data = Dataset.from_pairs((x, row[x] ^ (rng.random() < 0.02)) for x in xs)
+    return fc, data
+
+
+def test_merkle_learn_masks_each_distinct_pair_once():
+    fc, data = _counting_setup()
+    scheme = MerkleScheme(fc)
+    fc.calls = 0
+    _, aux, tickets = scheme.learn(data)
+    assert fc.calls == len(data.distinct_pairs()) == 14
+    # a 4-item unlearn masks each realizable off-path sibling once (22 here;
+    # the merge chain it replaced made 25 calls on the same query)
+    fc.calls = 0
+    entries = data.entries_for([3, 77, 150, 299])
+    scheme.unlearn(entries, aux, tickets)
+    assert fc.calls == 22
+
+
+def test_erm_learn_masks_each_distinct_pair_once_and_decodes_the_root():
+    fc, _ = _counting_setup()
+    row = fc.hypotheses[5]
+    data = Dataset.from_pairs((x % 8, row[x % 8]) for x in range(300))
+    scheme = ErmMerkleScheme(fc)
+    fc.calls = 0
+    _, aux, tickets = scheme.learn(data)
+    assert fc.calls == len(data.distinct_pairs()) + 1 == 9
+
+
+class _CountingOracle:
+    def __init__(self, inner):
+        self.inner, self.domain_size, self.calls = inner, inner.domain_size, 0
+
+    def is_realizable_pairs(self, pairs):
+        self.calls += 1
+        return self.inner.is_realizable_pairs(pairs)
+
+
+def test_merkle_on_an_oracle_keeps_its_oracle_call_count():
+    # the oracle path builds and folds through vs_encode and merge as
+    # before: 72 and 22 calls, the same as the node-by-node tree it replaced
+    oracle = _CountingOracle(HalfspaceOracle([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]))
+    data = Dataset.from_pairs([(0, 0), (1, 1), (2, 0), (3, 1), (4, 1)])
+    scheme = MerkleScheme(oracle)
+    answer, aux, tickets = scheme.learn(data)
+    assert answer is True and oracle.calls == 72
+    oracle.calls = 0
+    assert scheme.unlearn(data.entries_for([2, 4]), aux, tickets) is True
+    assert oracle.calls == 22
+
+
+def test_tree_learn_raises_index_error_on_an_id_beyond_the_padded_size():
+    # known defect kept: a ticket's leaf is its item id (ROADMAP item 2)
+    data = Dataset([(1, (0, 1)), (2, (1, 1)), (5, (2, 1))])
+    with pytest.raises(IndexError):
+        MerkleScheme(thresholds_1d(4)).learn(data)
+
+
+def _same_dataset(a, b):
+    assert a.entries == b.entries
+    assert a.ids() == b.ids()
+    assert a.support() == b.support()
+    for i in b.ids():
+        assert a.pair(i) == b.pair(i)
+
+
+def test_removed_dataset_equals_a_rebuilt_one():
+    rng = random.Random(31)
+    pairs = [(rng.randrange(5), rng.randint(0, 1)) for _ in range(40)]
+    data = Dataset.from_pairs(pairs)
+    _same_dataset(data, Dataset(list(enumerate(pairs, 1))))
+    once = data.remove([2, 9, 10, 40])
+    _same_dataset(once, Dataset(list(once.entries)))
+    twice = once.remove([1, 11, 39])
+    _same_dataset(twice, Dataset(list(twice.entries)))
+    assert len(twice) == 33 and data.remove([]).entries == data.entries
+    with pytest.raises(UnknownItemError):
+        twice.pair(2)
+    with pytest.raises(UnknownItemError):
+        once.remove([9])
+    with pytest.raises(ValueError):
+        once.remove([3, 3])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        Dataset.from_pairs([(0, 1), (1, 2)])
+
+
+def test_contradiction_does_not_skip_pair_validation():
+    fc = thresholds_1d(4)
+    bad = [(0, 0), (0, 1), (99, 1)]
+    with pytest.raises(ValueError):
+        is_realizable(fc, bad)
+    with pytest.raises(ValueError):
+        fc.vs_mask(bad)
+    assert fc.vs_mask([(0, 0), (0, 1), (3, 1)]) == 0
+    assert is_realizable(fc, [(0, 0), (0, 1), (3, 1)]) is False
