@@ -62,6 +62,7 @@ from .schemes_ticketed import (
     MerkleScheme,
     Ticket,
     TicketError,
+    TicketView,
 )
 from .geometry import (
     HalfspaceOracle,

@@ -6,19 +6,20 @@ Unlearn sees only the deleted entries, aux, and the deleted items'
 tickets, and must answer exactly as retraining on the survivors would.
 Every unlearn rejects a repeated id through core.distinct_ids. Tickets
 are trusted structural values; their bit sizes come from the cost model,
-not from serialization.
+not from serialization. The tree schemes' tickets are a read-only
+mapping built on access: learn keeps the tree's levels, and a ticket is
+read from them when its id is looked up.
 
 Known defect: the tree schemes place leaves by position but tickets by
 item id, so they are exact only on datasets whose ids are 1..n. On the
 gapped ids left by earlier deletions they answer wrongly or raise
-IndexError (ROADMAP item 2).
+IndexError (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 from .compression import NodeStates, VsEncoding, decode_mask
 from .core import ClassHandle, Dataset, Entry, FiniteClass, count_bits, distinct_ids
@@ -36,11 +37,46 @@ class Ticket:
     `leaf` is the item id, read as the item's leaf in the tree (exact
     only while ids are 1..n). `siblings` holds the encoding of the
     off-path subtree at every level, root side first; a tree over
-    2**depth padded leaves yields exactly `depth` entries.
+    2**depth padded leaves yields exactly `depth` entries. A learn builds
+    no tickets: its `TicketView` makes one each time an id is looked up.
     """
 
     leaf: int
     siblings: tuple[VsEncoding, ...]
+
+
+class TicketView(Mapping[int, Ticket]):
+    """The tickets of one tree learn, as a read-only mapping from item id.
+
+    Holds the learned dataset and the tree's node-state levels, leaves
+    first and the root level left out. Keys are the dataset's ids in
+    entry order; looking one up reads the sibling of the id's leaf at
+    every level, encodes each and returns a new `Ticket`. An unknown id
+    raises `core.UnknownItemError`, a KeyError.
+    """
+
+    __slots__ = ("_data", "_levels", "_encode")
+
+    def __init__(
+        self, data: Dataset, levels: list[list], encode: Callable[[object], VsEncoding]
+    ):
+        self._data = data
+        self._levels = levels
+        self._encode = encode
+
+    def __getitem__(self, item_id: int) -> Ticket:
+        self._data.pair(item_id)  # raises on an id the dataset lacks
+        v, siblings = item_id - 1, []
+        for level in self._levels:
+            siblings.append(level[v ^ 1])
+            v >>= 1
+        return Ticket(item_id, tuple(map(self._encode, reversed(siblings))))
+
+    def __iter__(self) -> Iterator[int]:
+        return (i for i, _ in self._data.entries)
+
+    def __len__(self) -> int:
+        return len(self._data)
 
 
 def tree_depth(n: int) -> int:
@@ -58,7 +94,8 @@ class _AggregationTreeScheme:
     exactly what unlearning needs to re-encode any survivor set that
     excludes leaf i. The tree is built and folded in the node states of
     `compression.NodeStates` (version-space masks on a FiniteClass) and
-    turned into encodings only where a ticket or a root needs one.
+    turned into encodings only where a ticket or a root needs one: the
+    levels are kept, and each ticket is read from them on lookup.
     """
 
     ticketed = True
@@ -70,25 +107,20 @@ class _AggregationTreeScheme:
             encoding_cap if encoding_cap is not None else 2 * handle.domain_size
         )
 
-    def _learn_tree(self, data: Dataset) -> tuple[VsEncoding, dict[int, Ticket]]:
+    def _learn_tree(self, data: Dataset) -> tuple[VsEncoding, TicketView]:
         states = self.states
         size = 1 << tree_depth(len(data))
+        # the leaf is the item id: an id above the padded size has no leaf
+        if data and max(data.ids()) > size:
+            raise IndexError(f"item id above the tree's {size} leaves")
         pad = states.empty()
         level = states.leaves(data.pairs())
         level += [pad] * (size - len(level))
-        # Bottom up, one column per level: every leaf's sibling at that
-        # level, each node's sibling repeated over the node's leaves.
-        columns = []
+        levels = []
         while len(level) > 1:
-            sibs = list(map(states.encode, level))
-            sibs[::2], sibs[1::2] = sibs[1::2], sibs[::2]
-            span = repeat(size // len(level))
-            columns.append(chain.from_iterable(map(repeat, sibs, span)))
+            levels.append(level)
             level = list(map(states.meet, level[::2], level[1::2]))
-        paths = list(zip(*reversed(columns))) if columns else [()]
-        # the leaf is the item id: an id above the padded size raises IndexError
-        tickets = {i: Ticket(i, paths[i - 1]) for i, _ in data.entries}
-        return states.encode(level[0]), tickets
+        return states.encode(level[0]), TicketView(data, levels, states.encode)
 
     def _fold_survivor(
         self, deleted: Sequence[Entry], tickets: Mapping[int, Ticket]
@@ -142,7 +174,7 @@ class _AggregationTreeScheme:
 class MerkleScheme(_AggregationTreeScheme):
     """Tree scheme for realizability testing: central memory is one bit."""
 
-    def learn(self, data: Dataset) -> tuple[bool, bool, dict[int, Ticket]]:
+    def learn(self, data: Dataset) -> tuple[bool, bool, TicketView]:
         root, tickets = self._learn_tree(data)
         # a canonical encoding is realizable exactly when it decodes to yes
         return root.realizable, root.realizable, tickets
@@ -176,7 +208,7 @@ class ErmMerkleScheme(_AggregationTreeScheme):
             raise PreconditionError("survivor dataset is not realizable")
         return (mask & -mask).bit_length() - 1  # the lowest member's index
 
-    def learn(self, data: Dataset) -> tuple[int, int, dict[int, Ticket]]:
+    def learn(self, data: Dataset) -> tuple[int, int, TicketView]:
         root, tickets = self._learn_tree(data)
         answer = self._decode_erm(root)
         return answer, answer, tickets

@@ -2,6 +2,7 @@
 compression calls, pinned version-space mask counts, and the dataset and
 validation contracts the tree build relies on."""
 
+import gc
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from unlearn_lab import (
     FiniteClass,
     HalfspaceOracle,
     MerkleScheme,
+    Ticket,
+    TicketError,
     UnknownItemError,
     is_realizable,
     merge,
@@ -73,6 +76,63 @@ def _check_against_reference(scheme, handle, data, rng, decode):
         want = _reference_fold(handle, size, nodes, ids)
         assert scheme._fold_survivor(entries, tickets) == want
         assert scheme.unlearn(entries, aux, {i: tickets[i] for i in ids}) == decode(handle, want)
+
+
+def _reference_tickets(handle, data):
+    """Eager tickets in entry order: leaf = item id, path of position id - 1."""
+    size, nodes = _reference_tree(handle, data.pairs())
+    tickets = {}
+    for i, _ in data.entries:
+        v, path = size + i - 1, []
+        while v > 1:
+            path.append(nodes[v ^ 1])
+            v //= 2
+        tickets[i] = Ticket(i, tuple(reversed(path)))
+    return tickets
+
+
+def test_ticket_view_behaves_like_the_eager_ticket_dict():
+    rng = random.Random(404)
+    for _ in range(8):
+        fc = random_finite_class(rng, max_m=6, max_h=16)
+        full = _labeled(rng, fc, 13)
+        removed = sorted(rng.sample(range(1, 14), 3))
+        shuffled = Dataset(rng.sample(full.entries, len(full)))
+        scheme = MerkleScheme(fc)
+        for data in (full, full.remove(removed), shuffled):
+            _, aux, view = scheme.learn(data)
+            assert dict(view) == _reference_tickets(fc, data)
+            assert list(view) == [i for i, _ in data.entries]
+            assert len(view) == len(data) and set(view) == data.ids()
+        gapped = full.remove(removed)
+        _, aux, view = scheme.learn(gapped)
+        size = 1 << (len(gapped) - 1).bit_length()
+        for i in (0, -1, removed[0], size + 1):
+            with pytest.raises(KeyError):
+                view[i]
+            assert view.get(i) is None and i not in view
+        with pytest.raises(TypeError):
+            view[gapped.entries[0][0]] = view[gapped.entries[0][0]]
+        entries = ((removed[0], full.pair(removed[0])),) + gapped.entries[:1]
+        with pytest.raises(TicketError, match="missing ticket"):
+            scheme.unlearn(entries, aux, view)
+
+
+def test_tree_learn_builds_no_ticket_until_one_is_read():
+    rng = random.Random(4096)
+    fc = random_finite_class(rng, max_m=8, max_h=32)
+    scheme = MerkleScheme(fc)
+    data = _labeled(rng, fc, 4096)
+
+    def live_tickets():
+        return sum(isinstance(o, Ticket) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_tickets()
+    _, _, tickets = scheme.learn(data)
+    assert live_tickets() == before
+    one = tickets[2048]
+    assert live_tickets() == before + 1 and one.leaf == 2048
 
 
 def _labeled(rng, fc, n):

@@ -257,3 +257,167 @@ def test_query_unknown_item_exits_1(tmp_path, thr4_file, capsys):
          "--dataset", data, "--queries", queries],
     )
     assert code == 1 and "unknown items" in err
+
+
+# The full `scheme run` output of the tree schemes on thresholds(m=4),
+# pinned byte for byte: how tickets are built must not change what a run
+# prints, ticket_bits key order included.
+TREE_RUNS = {
+    "merkle": (
+        [(0, 0), (3, 1), (1, 0), (2, 1), (1, 1), (0, 0), (3, 1), (2, 0), (2, 1), (0, 0), (3, 1)],
+        [[5], [5, 8], [5, 8, 9, 11], [], [10]],
+        """\
+{
+  "answers": [
+    {
+      "answer": "no",
+      "indices": [
+        5
+      ]
+    },
+    {
+      "answer": "yes",
+      "indices": [
+        5,
+        8
+      ]
+    },
+    {
+      "answer": "yes",
+      "indices": [
+        5,
+        8,
+        9,
+        11
+      ]
+    },
+    {
+      "answer": "no",
+      "indices": []
+    },
+    {
+      "answer": "no",
+      "indices": [
+        10
+      ]
+    }
+  ],
+  "aux_bits": 1,
+  "bound": {
+    "bits": 44,
+    "dims": {
+      "star": 2
+    },
+    "name": "(count_bits(cap)+star*z_bits)*log2(n)+count_bits(n-1)"
+  },
+  "bound_ok": true,
+  "class": "thresholds(m=4)",
+  "learn_answer": "no",
+  "max_ticket_bits": 41,
+  "mean_ticket_bits": 38.54545454545455,
+  "scheme": "merkle",
+  "ticket_bits": {
+    "1": 41,
+    "2": 41,
+    "3": 41,
+    "4": 41,
+    "5": 41,
+    "6": 41,
+    "7": 41,
+    "8": 41,
+    "9": 32,
+    "10": 32,
+    "11": 32
+  },
+  "v": 1
+}
+""",
+    ),
+    "erm-merkle": (
+        [(2, 1), (0, 0), (3, 1), (1, 0), (2, 1), (0, 0), (3, 1), (1, 0), (2, 1), (3, 1), (0, 0)],
+        [[1], [1, 5, 9], [4, 8], [], [2, 6, 11, 4, 8]],
+        """\
+{
+  "answers": [
+    {
+      "answer": 2,
+      "indices": [
+        1
+      ]
+    },
+    {
+      "answer": 2,
+      "indices": [
+        1,
+        5,
+        9
+      ]
+    },
+    {
+      "answer": 1,
+      "indices": [
+        4,
+        8
+      ]
+    },
+    {
+      "answer": 2,
+      "indices": []
+    },
+    {
+      "answer": 0,
+      "indices": [
+        2,
+        4,
+        6,
+        8,
+        11
+      ]
+    }
+  ],
+  "aux_bits": 3,
+  "bound": {
+    "bits": 44,
+    "dims": {
+      "star": 2
+    },
+    "name": "(count_bits(cap)+star*z_bits)*log2(n)+count_bits(n-1)"
+  },
+  "bound_ok": true,
+  "class": "thresholds(m=4)",
+  "learn_answer": 2,
+  "max_ticket_bits": 41,
+  "mean_ticket_bits": 38.27272727272727,
+  "scheme": "erm-merkle",
+  "ticket_bits": {
+    "1": 41,
+    "2": 41,
+    "3": 41,
+    "4": 41,
+    "5": 41,
+    "6": 41,
+    "7": 41,
+    "8": 41,
+    "9": 32,
+    "10": 32,
+    "11": 29
+  },
+  "v": 1
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(TREE_RUNS))
+def test_scheme_run_tree_output_is_pinned_byte_for_byte(tmp_path, thr4_file, capsys, scheme):
+    items, queries, want = TREE_RUNS[scheme]
+    data = _write(tmp_path / "d.json", {"items": [{"x": x, "y": y} for x, y in items]})
+    qs = _write(tmp_path / "q.json", {"queries": [{"indices": q} for q in queries]})
+    code, out, _ = _run(
+        capsys,
+        ["scheme", "run", "--scheme", scheme, "--class", thr4_file,
+         "--dataset", data, "--queries", qs],
+    )
+    assert code == 0
+    assert out == want
