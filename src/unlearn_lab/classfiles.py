@@ -60,6 +60,13 @@ def _load_json(path) -> object:
         raise FileFormatError(path, f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
+def _json_int(value, path, where: str) -> int:
+    """Read a JSON integer; bools, floats and strings are rejected."""
+    if type(value) is not int:
+        raise FileFormatError(path, f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _rational(value, path):
     if isinstance(value, bool):
         raise FileFormatError(path, f"bad rational {value!r}")
@@ -77,36 +84,42 @@ def _rational(value, path):
 
 def _build_generator(spec: dict, doc: dict, path) -> tuple[ClassHandle, str]:
     kind = spec.get("kind")
+
+    def param(key: str, default: int | None = None) -> int:
+        value = spec[key] if default is None else spec.get(key, default)
+        return _json_int(value, path, f"generator {kind!r} parameter {key!r}")
+
     try:
         if kind == "thresholds":
-            m = int(spec["m"])
+            m = param("m")
             return thresholds_1d(m), f"thresholds(m={m})"
         if kind == "parity":
-            d = int(spec["d"])
+            d = param("d")
             return parity_class(d), f"parity(d={d})"
         if kind == "all-labelings":
-            m = int(spec["m"])
+            m = param("m")
             return all_labelings(m), f"all-labelings(m={m})"
         if kind == "tilu-ub":
-            d = int(spec["d"])
-            size = int(spec["domain_size"])
+            d = param("d")
+            size = param("domain_size")
             return tilu_ub_class(d, size), f"tilu-ub(d={d},domain={size})"
         if kind == "random":
-            m = int(spec.get("m", 6))
-            h = int(spec.get("h", 20))
-            seed = int(spec["seed"]) if "seed" in spec else env_seed()
+            m = param("m", 6)
+            h = param("h", 20)
+            seed = param("seed") if "seed" in spec else env_seed()
             rng = random.Random(seed)
             fc = FiniteClass(m, [[rng.randint(0, 1) for _ in range(m)] for _ in range(h)])
             return fc, f"random(m={m},h={len(fc.hypotheses)},seed={seed})"
         if kind == "halfspace":
-            d = int(spec["d"])
+            d = param("d")
             domain = doc.get("domain")
             if domain is None:
                 raise FileFormatError(path, "halfspace classes need a domain")
             if isinstance(domain, dict):
                 if domain.get("kind") != "simplex-faces":
                     raise FileFormatError(path, f"unknown domain kind {domain.get('kind')!r}")
-                dd, kk = int(domain["d"]), int(domain["k"])
+                dd = _json_int(domain["d"], path, "simplex-faces domain parameter 'd'")
+                kk = _json_int(domain["k"], path, "simplex-faces domain parameter 'k'")
                 points = simplex_face_domain(dd, kk)
                 desc = f"halfspace(d={dd},simplex-faces(k={kk}))"
             else:
@@ -150,10 +163,9 @@ def load_dataset(path, handle: ClassHandle | None = None) -> Dataset:
         raise FileFormatError(path, "dataset file must be an object with 'items'")
     pairs = []
     for pos, item in enumerate(doc["items"], start=1):
-        try:
-            pairs.append((int(item["x"]), int(item["y"])))
-        except (TypeError, KeyError):
-            raise FileFormatError(path, f"item {pos} must be an object with 'x' and 'y'") from None
+        if not isinstance(item, dict) or not {"x", "y"} <= item.keys():
+            raise FileFormatError(path, f"item {pos} must be an object with 'x' and 'y'")
+        pairs.append(tuple(_json_int(item[k], path, f"item {pos} {k!r}") for k in ("x", "y")))
     try:
         data = Dataset.from_pairs(pairs)
     except ValueError as exc:
@@ -180,9 +192,9 @@ def load_queries(path, data: Dataset | None = None) -> list[frozenset[int]]:
             raise FileFormatError(path, f"query {qi} must list indices")
         seen = set()
         for i in indices:
-            if i in seen:
+            if _json_int(i, path, f"query {qi} index") in seen:
                 raise FileFormatError(path, f"query {qi} repeats index {i}")
-            seen.add(int(i))
+            seen.add(i)
         if data is not None:
             unknown = seen - set(data.ids())
             if unknown:
@@ -206,8 +218,9 @@ def load_encoding(path) -> VsEncoding:
         return unrealizable_marker()
     if doc["kind"] != "realizable":
         raise FileFormatError(path, f"unknown encoding kind {doc['kind']!r}")
-    try:
-        pairs = tuple((int(x), int(y)) for x, y in doc.get("pairs", []))
-    except (TypeError, ValueError):
-        raise FileFormatError(path, "encoding pairs must be [x, y] lists") from None
-    return VsEncoding(True, pairs)
+    pairs = []
+    for pos, pair in enumerate(doc.get("pairs", []), start=1):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise FileFormatError(path, "encoding pairs must be [x, y] lists")
+        pairs.append(tuple(_json_int(v, path, f"encoding pair {pos}") for v in pair))
+    return VsEncoding(True, tuple(pairs))

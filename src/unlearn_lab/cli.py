@@ -45,6 +45,13 @@ class UsageError(ValueError):
     """Bad invocation or unusable input file: exit status 2."""
 
 
+def _cap_arg(text: str) -> int:
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"a dimension cap must be at least 0, got {cap}")
+    return cap
+
+
 def _emit(doc: dict, out: str | None) -> None:
     blob = json.dumps(doc, indent=2, sort_keys=True, default=str)
     if out:
@@ -190,25 +197,28 @@ def _cmd_scheme_run(args) -> int:
     return 0
 
 
-def _build_instance(name: str, params: dict):
+def _build_instance(name: str, params):
+    if not isinstance(params, dict):
+        raise UsageError("--params must be a JSON object")
+    try:
+        for key in ("m", "n", "d", "k"):
+            if key in params:
+                classfiles._json_int(params[key], "--params", repr(key))
+    except FileFormatError as exc:
+        raise UsageError(str(exc)) from None
     if name == "vclb":
-        return vclb_instance(params.get("beta", Fraction(1, 2)), int(params.get("m", 8)))
-    if name == "eluder":
-        m = int(params.get("m", 8))
+        return vclb_instance(params.get("beta", Fraction(1, 2)), params.get("m", 8))
+    if name in ("eluder", "erm-whitebox"):
+        m = params.get("m", 8 if name == "eluder" else 4)
         fc = thresholds_1d(m)
         witness = compute_dims(fc).witnesses["eluder"]
-        return eluder_lb_instance(fc, witness, int(params.get("n", 2 * m)))
+        inst = eluder_lb_instance(fc, witness, params.get("n", 2 * m))
+        return inst if name == "eluder" else whitebox_erm_reduction(inst)
     if name == "shatter":
-        m = int(params.get("m", 3))
-        fc = all_labelings(m)
-        return shatter_lb_instance(fc, tuple(range(m)))
+        m = params.get("m", 3)
+        return shatter_lb_instance(all_labelings(m), tuple(range(m)))
     if name == "halfspace":
-        return halfspace_lb_instance(int(params.get("d", 4)), int(params.get("k", 2)))
-    if name == "erm-whitebox":
-        m = int(params.get("m", 4))
-        fc = thresholds_1d(m)
-        witness = compute_dims(fc).witnesses["eluder"]
-        return whitebox_erm_reduction(eluder_lb_instance(fc, witness, int(params.get("n", 2 * m))))
+        return halfspace_lb_instance(params.get("d", 4), params.get("k", 2))
     raise UsageError(f"unknown instance {name!r}")
 
 
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="compute combinatorial dimensions of a class")
     p.add_argument("class_file")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap_arg, default=None)
     p.add_argument("--witness", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_dims)
@@ -314,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--queries")
     pr.add_argument("--k", type=int, default=3)
     pr.add_argument("--encoding-cap", type=int, default=None)
-    pr.add_argument("--dim-cap", type=int, default=6)
+    pr.add_argument("--dim-cap", type=_cap_arg, default=6)
     pr.add_argument("--record", help="write the run record for later reports")
     pr.add_argument("--out")
     pr.set_defaults(func=_cmd_scheme_run)

@@ -7,12 +7,13 @@ eluder run on one search engine over the support lattice (`_Lattice`) and
 so over any realizability oracle; Littlestone and the identification set
 need an explicit hypothesis list.
 
-Every search takes a cap and returns the CAP_EXCEEDED sentinel when a
-witness of size cap+1 exists. On a finite class the searches are exact at
-their default caps; with m=12 points and |H|=64 hypotheses `compute_dims`
-takes about half a second (Python 3.11 on a 2-vCPU virtual machine). The
-hollow search tries every labeled support larger than the answer, so its
-cost grows as 3^m and sets the limit of that scale.
+Every search takes a cap of at least 0 and returns the CAP_EXCEEDED
+sentinel when a witness of size cap+1 exists. On a finite class the
+searches are exact at their default caps; with m=12 points and |H|=64
+hypotheses `compute_dims` takes about half a second (Python 3.11 on a
+2-vCPU virtual machine). The hollow search tries every labeled support
+larger than the answer, so its cost grows as 3^m and sets the limit of
+that scale.
 """
 
 from __future__ import annotations
@@ -283,31 +284,35 @@ def min_identification_set(fc: FiniteClass) -> tuple[int, ...]:
     return cached  # type: ignore[return-value]
 
 
-def _default_caps(handle: ClassHandle) -> dict[str, int]:
-    """Caps of the public searches; for a finite class, the provable maxima."""
+def _caps(handle: ClassHandle, cap: int | None) -> dict[str, int]:
+    """Cap of each search: `cap` for all four, or the handle's defaults.
+
+    On a finite class the defaults are the provable maxima. A cap below 0
+    raises ValueError: no search can answer within it.
+    """
+    if cap is not None:
+        if cap < 0:
+            raise ValueError(f"dimension caps must be at least 0, got {cap}")
+        return dict.fromkeys(("vc", "star", "hollow_star", "eluder"), cap)
     m = handle.domain_size
     eluder = min(m, len(handle.hypotheses) - 1) if isinstance(handle, FiniteClass) else m
     return {"vc": m, "star": m, "hollow_star": m + 1, "eluder": eluder}
 
 
 def vc_dimension(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    cap = _default_caps(handle)["vc"] if cap is None else cap
-    return _vc_search(_Lattice(handle), cap)[0]
+    return _vc_search(_Lattice(handle), _caps(handle, cap)["vc"])[0]
 
 
 def star_number(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    cap = _default_caps(handle)["star"] if cap is None else cap
-    return _star_search(_Lattice(handle), cap)[0]
+    return _star_search(_Lattice(handle), _caps(handle, cap)["star"])[0]
 
 
 def hollow_star_number(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    cap = _default_caps(handle)["hollow_star"] if cap is None else cap
-    return _hollow_search(_Lattice(handle), cap)[0]
+    return _hollow_search(_Lattice(handle), _caps(handle, cap)["hollow_star"])[0]
 
 
 def eluder_dimension(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    cap = _default_caps(handle)["eluder"] if cap is None else cap
-    return _eluder_search(_Lattice(handle), cap)[0]
+    return _eluder_search(_Lattice(handle), _caps(handle, cap)["eluder"])[0]
 
 
 # Witness verifiers. Each builds every support it needs explicitly and asks
@@ -427,10 +432,7 @@ def compute_dims(
     """
     lat = _Lattice(handle)
     finite = isinstance(handle, FiniteClass)
-    if finite and cap is None:
-        caps = _default_caps(handle)
-    else:
-        caps = dict.fromkeys(("vc", "star", "hollow_star", "eluder"), 6 if cap is None else cap)
+    caps = _caps(handle, 6 if cap is None and not finite else cap)
 
     vc, vc_w = _vc_search(lat, caps["vc"])
     star, star_w = _star_search(lat, caps["star"])

@@ -77,12 +77,14 @@ def random_finite_class(rng: random.Random, max_m: int = 6, max_h: int = 20) -> 
 
 @dataclass(frozen=True)
 class RecipeForm:
-    """Presence-coded normal form a white-box ERM reduction can consume.
+    """Presence-coded layout from which a lower-bound family is built.
 
-    Position t's pair is present exactly when bit t is 1; the static
-    query for step t removes base items only. After also deleting the
-    pairs of every earlier recovered 1-bit, the survivor is realizable
-    exactly when bit t is 0.
+    The dataset holds the base items, then the pair of each 1-bit step
+    in step order. Step t's static query removes base items only; after
+    it also removes the pairs of every earlier 1-bit step, the survivor
+    is realizable exactly when step t's bit is 0. `_presence_coded`
+    turns a recipe into an `LbInstance`, and `whitebox_erm_reduction`
+    lifts one to the ERM task.
     """
 
     base_items: tuple[Pair, ...]
@@ -96,7 +98,9 @@ class LbInstance:
 
     `query_ids(pos, recovered)` maps a secret position and the bits
     recovered so far to item ids of dataset_of(z); `decode(pos, answer)`
-    turns the scheme's answer into the recovered bit.
+    turns the scheme's answer into the recovered bit. `recipe` is the
+    layout a presence-coded realizability family was built from, and
+    None for the other families and for ERM lifts.
     """
 
     name: str
@@ -121,6 +125,59 @@ def _check_secret(inst: LbInstance, z: Sequence[int]) -> Bits:
         if bits[pos - 1] != forced:
             raise ValueError(f"this family fixes bit {pos} to {forced}")
     return bits
+
+
+def _presence_coded(
+    name: str,
+    handle: ClassHandle,
+    recipe: RecipeForm,
+    positions: Bits,
+    cumulative: bool,
+    copies: int = 1,
+    decode: Callable[[int, object], int] | None = None,
+    fixed_bits: dict[int, int] | None = None,
+) -> LbInstance:
+    """Build the family a recipe describes.
+
+    Step t recovers secret position positions[t-1]; each 1-bit step adds
+    `copies` copies of its pair after the base items. In a cumulative
+    family a step's query also deletes the copies of every earlier 1-bit
+    step, which hold the ids right after the base items. Without
+    `decode` the family asks realizability, and an unrealizable survivor
+    reads as bit 1; with it the family asks ERM and cannot be lifted again.
+    """
+    nbase = len(recipe.base_items)
+
+    def dataset_of(z: Bits) -> Dataset:
+        pairs = list(recipe.base_items)
+        for pos, pair in zip(positions, recipe.secret_pairs):
+            if z[pos - 1]:
+                pairs.extend([pair] * copies)
+        return Dataset.from_pairs(pairs)
+
+    def query_ids(pos: int, recovered: dict[int, int]) -> frozenset[int]:
+        step = positions.index(pos)
+        query = recipe.static_queries[step]
+        if not cumulative:
+            return query
+        ones = sum(recovered[q] for q in positions[:step])
+        return query | frozenset(range(nbase + 1, nbase + copies * ones + 1))
+
+    def realizability_decode(pos: int, answer) -> int:
+        return 0 if answer else 1
+
+    return LbInstance(
+        name=name,
+        handle=handle,
+        secret_len=len(positions),
+        task="realizability" if decode is None else "erm",
+        dataset_of=dataset_of,
+        recovery_order=tuple(p for p in positions if p not in (fixed_bits or {})),
+        query_ids=query_ids,
+        decode=decode or realizability_decode,
+        recipe=recipe if decode is None else None,
+        fixed_bits=fixed_bits,
+    )
 
 
 def vclb_instance(beta, m: int):
@@ -154,35 +211,13 @@ def vclb_instance(beta, m: int):
         for c in subsets[i]:
             row[m + c] = 1
         rows.append(row)
-    fc = FiniteClass(domain, rows)
-
-    base = tuple((m + c, 0) for c in range(s))
-    secret_pairs = tuple((i, 0) for i in range(m))
-    static = tuple(frozenset(c + 1 for c in subsets[i]) for i in range(m))
-
-    def dataset_of(z: Bits) -> Dataset:
-        pairs = list(base)
-        for i, bit in enumerate(z):
-            if bit:
-                pairs.append(secret_pairs[i])
-        return Dataset.from_pairs(pairs)
-
-    def query_ids(pos: int, recovered: dict[int, int]) -> frozenset[int]:
-        return static[pos - 1]
-
-    def decode(pos: int, answer) -> int:
-        return 0 if answer else 1
-
-    return LbInstance(
-        name="vclb",
-        handle=fc,
-        secret_len=m,
-        task="realizability",
-        dataset_of=dataset_of,
-        recovery_order=tuple(range(1, m + 1)),
-        query_ids=query_ids,
-        decode=decode,
-        recipe=RecipeForm(base, secret_pairs, static),
+    recipe = RecipeForm(
+        base_items=tuple((m + c, 0) for c in range(s)),
+        secret_pairs=tuple((i, 0) for i in range(m)),
+        static_queries=tuple(frozenset(c + 1 for c in subsets[i]) for i in range(m)),
+    )
+    return _presence_coded(
+        "vclb", FiniteClass(domain, rows), recipe, tuple(range(1, m + 1)), cumulative=False
     )
 
 
@@ -200,53 +235,15 @@ def eluder_lb_instance(handle: ClassHandle, witness: Sequence[Pair], n: int) -> 
     p = min(n // 2, len(seq))
     if p < 1:
         raise ValueError("need room for at least one secret bit")
-    seq = seq[:p]
-    base = tuple((x, 1 - y) for x, y in seq)
-    secret_pairs = tuple(seq)
-
-    def present_id(pos: int, z_bits: dict[int, int]) -> int:
-        # optional items are laid out in recovery order (descending), so
-        # the id of position j's pair depends only on bits above j
-        later_ones = sum(1 for q in range(pos + 1, p + 1) if z_bits.get(q))
-        return p + later_ones + 1
-
-    def dataset_of(z: Bits) -> Dataset:
-        pairs = list(base)
-        zmap = {i + 1: b for i, b in enumerate(z)}
-        for pos in range(p, 0, -1):
-            if zmap[pos]:
-                pairs.append(secret_pairs[pos - 1])
-        return Dataset.from_pairs(pairs)
-
-    def query_ids(pos: int, recovered: dict[int, int]) -> frozenset[int]:
-        ids = {i for i in range(1, p + 1) if i != pos}
-        for j in range(pos + 1, p + 1):
-            if recovered[j]:
-                ids.add(present_id(j, recovered))
-        return frozenset(ids)
-
-    def decode(pos: int, answer) -> int:
-        return 0 if answer else 1
-
     order = tuple(range(p, 0, -1))
     recipe = RecipeForm(
-        base_items=base,
-        secret_pairs=tuple(secret_pairs[pos - 1] for pos in order),
+        base_items=tuple((x, 1 - y) for x, y in seq[:p]),
+        secret_pairs=tuple(seq[pos - 1] for pos in order),
         static_queries=tuple(
             frozenset(i for i in range(1, p + 1) if i != pos) for pos in order
         ),
     )
-    return LbInstance(
-        name="eluder",
-        handle=handle,
-        secret_len=p,
-        task="realizability",
-        dataset_of=dataset_of,
-        recovery_order=order,
-        query_ids=query_ids,
-        decode=decode,
-        recipe=recipe,
-    )
+    return _presence_coded("eluder", handle, recipe, order, cumulative=True)
 
 
 def shatter_lb_instance(handle: ClassHandle, shattered: Sequence[int]) -> LbInstance:
@@ -297,34 +294,13 @@ def halfspace_lb_instance(d: int, k: int) -> LbInstance:
         raise ValueError("need 2 <= k <= d-2 for distinct domain points")
     oracle = HalfspaceOracle(simplex_face_domain(d, k))
     subsets = list(combinations(range(d), k))
-    p = len(subsets)
-    base = tuple((i, 1) for i in range(d))
-    secret_pairs = tuple((face_centroid_id(d, k, L), 0) for L in subsets)
-    static = tuple(frozenset(i + 1 for i in L) for L in subsets)
-
-    def dataset_of(z: Bits) -> Dataset:
-        pairs = list(base)
-        for i, bit in enumerate(z):
-            if bit:
-                pairs.append(secret_pairs[i])
-        return Dataset.from_pairs(pairs)
-
-    def query_ids(pos: int, recovered: dict[int, int]) -> frozenset[int]:
-        return static[pos - 1]
-
-    def decode(pos: int, answer) -> int:
-        return 0 if answer else 1
-
-    return LbInstance(
-        name="halfspace",
-        handle=oracle,
-        secret_len=p,
-        task="realizability",
-        dataset_of=dataset_of,
-        recovery_order=tuple(range(1, p + 1)),
-        query_ids=query_ids,
-        decode=decode,
-        recipe=RecipeForm(base, secret_pairs, static),
+    recipe = RecipeForm(
+        base_items=tuple((i, 1) for i in range(d)),
+        secret_pairs=tuple((face_centroid_id(d, k, L), 0) for L in subsets),
+        static_queries=tuple(frozenset(i + 1 for i in L) for L in subsets),
+    )
+    return _presence_coded(
+        "halfspace", oracle, recipe, tuple(range(1, len(subsets) + 1)), cumulative=False
     )
 
 
@@ -336,6 +312,7 @@ def whitebox_erm_reduction(inst: LbInstance) -> LbInstance:
     first bit pinned to 0, the lexicographic-minimum risk minimizer after
     step t's deletions labels x_t with its true label exactly when bit t
     is 1, so reading the returned hypothesis at x_t recovers the bit.
+    The lift's bit t is the recipe's step t.
     """
     recipe = inst.recipe
     if recipe is None:
@@ -343,46 +320,22 @@ def whitebox_erm_reduction(inst: LbInstance) -> LbInstance:
     fc = inst.handle
     if not isinstance(fc, FiniteClass):
         raise ValueError("the ERM reduction needs an explicit finite class")
-    p = inst.secret_len
-    base = recipe.base_items
     extra = max(
         (len(q - recipe.static_queries[0]) for q in recipe.static_queries[1:]),
         default=0,
     )
-    copies = extra + 1
-    nbase = len(base)
-
-    def block_start(step: int, bits: dict[int, int]) -> int:
-        earlier_ones = sum(1 for t in range(1, step) if bits.get(t))
-        return nbase + copies * earlier_ones + 1
-
-    def dataset_of(z: Bits) -> Dataset:
-        pairs = list(base)
-        for step in range(1, p + 1):
-            if z[step - 1]:
-                pairs.extend([recipe.secret_pairs[step - 1]] * copies)
-        return Dataset.from_pairs(pairs)
-
-    def query_ids(step: int, recovered: dict[int, int]) -> frozenset[int]:
-        ids = set(recipe.static_queries[step - 1])
-        for t in range(2, step):
-            if recovered.get(t):
-                start = block_start(t, recovered)
-                ids.update(range(start, start + copies))
-        return frozenset(ids)
 
     def decode(step: int, answer) -> int:
         x, y = recipe.secret_pairs[step - 1]
         return 1 if fc.hypotheses[int(answer)][x] == y else 0
 
-    return LbInstance(
-        name=f"{inst.name}-erm",
-        handle=fc,
-        secret_len=p,
-        task="erm",
-        dataset_of=dataset_of,
-        recovery_order=tuple(range(2, p + 1)),
-        query_ids=query_ids,
+    return _presence_coded(
+        f"{inst.name}-erm",
+        fc,
+        recipe,
+        tuple(range(1, inst.secret_len + 1)),
+        cumulative=True,
+        copies=extra + 1,
         decode=decode,
         fixed_bits={1: 0},
     )

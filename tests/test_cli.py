@@ -421,3 +421,137 @@ def test_scheme_run_tree_output_is_pinned_byte_for_byte(tmp_path, thr4_file, cap
     )
     assert code == 0
     assert out == want
+
+
+# The full `lb demo` stdout of six attacks, recorded before the
+# presence-coded families shared one builder. Each is kept as compact JSON
+# and rendered here with indent 2 and sorted keys, which is exactly what
+# the command prints, so a change to any byte of a run fails.
+LB_DEMOS = [
+    (
+        ['--instance', 'vclb', '--params', '{"m": 6}', '--scheme', 'bounded', '--k', '2', '--secret', '101100'],
+        '{"aux_bits":47,"exact":true,"instance":"vclb","max_ticket_bits":0,"recovered":"101100","scheme":"bounded","secret":"101100","transcript":['
+        '{"answer":"no","deleted":[1,2],"position":1},'
+        '{"answer":"yes","deleted":[1,3],"position":2},'
+        '{"answer":"no","deleted":[1,4],"position":3},'
+        '{"answer":"no","deleted":[1,5],"position":4},'
+        '{"answer":"yes","deleted":[2,3],"position":5},'
+        '{"answer":"yes","deleted":[2,4],"position":6}'
+        '],"v":1}',
+    ),
+    (
+        ['--instance', 'eluder', '--params', '{"m": 6}', '--scheme', 'merkle', '--secret', '011010'],
+        '{"aux_bits":1,"exact":true,"instance":"eluder","max_ticket_bits":40,"recovered":"011010","scheme":"merkle","secret":"011010","transcript":['
+        '{"answer":"yes","deleted":[1,2,3,4,5],"position":6},'
+        '{"answer":"no","deleted":[1,2,3,4,6],"position":5},'
+        '{"answer":"yes","deleted":[1,2,3,5,6,7],"position":4},'
+        '{"answer":"no","deleted":[1,2,4,5,6,7],"position":3},'
+        '{"answer":"no","deleted":[1,3,4,5,6,7,8],"position":2},'
+        '{"answer":"yes","deleted":[2,3,4,5,6,7,8,9],"position":1}'
+        '],"v":1}',
+    ),
+    (
+        ['--instance', 'shatter', '--scheme', 'trivial', '--secret', '101'],
+        '{"aux_bits":21,"exact":true,"instance":"shatter","max_ticket_bits":0,"recovered":"101","scheme":"trivial","secret":"101","transcript":['
+        '{"answer":"yes","deleted":[3,5],"position":1},'
+        '{"answer":"no","deleted":[1,5],"position":2},'
+        '{"answer":"yes","deleted":[1,3],"position":3}'
+        '],"v":1}',
+    ),
+    (
+        ['--instance', 'halfspace', '--scheme', 'bounded', '--k', '2', '--secret', '100110'],
+        '{"aux_bits":79,"exact":true,"instance":"halfspace","max_ticket_bits":0,"recovered":"100110","scheme":"bounded","secret":"100110","transcript":['
+        '{"answer":"no","deleted":[1,2],"position":1},'
+        '{"answer":"yes","deleted":[1,3],"position":2},'
+        '{"answer":"yes","deleted":[1,4],"position":3},'
+        '{"answer":"no","deleted":[2,3],"position":4},'
+        '{"answer":"no","deleted":[2,4],"position":5},'
+        '{"answer":"yes","deleted":[3,4],"position":6}'
+        '],"v":1}',
+    ),
+    (
+        ['--instance', 'halfspace', '--scheme', 'merkle', '--secret', '011001'],
+        '{"aux_bits":1,"exact":true,"instance":"halfspace","max_ticket_bits":48,"recovered":"011001","scheme":"merkle","secret":"011001","transcript":['
+        '{"answer":"yes","deleted":[1,2],"position":1},'
+        '{"answer":"no","deleted":[1,3],"position":2},'
+        '{"answer":"no","deleted":[1,4],"position":3},'
+        '{"answer":"yes","deleted":[2,3],"position":4},'
+        '{"answer":"yes","deleted":[2,4],"position":5},'
+        '{"answer":"no","deleted":[3,4],"position":6}'
+        '],"v":1}',
+    ),
+    (
+        ['--instance', 'erm-whitebox', '--scheme', 'trivial-erm', '--secret', '0110'],
+        '{"aux_bits":28,"exact":true,"instance":"eluder-erm","max_ticket_bits":0,"recovered":"0110","scheme":"trivial-erm","secret":"0110","transcript":['
+        '{"answer":3,"deleted":[1,2,4],"position":2},'
+        '{"answer":2,"deleted":[1,3,4,5,6],"position":3},'
+        '{"answer":0,"deleted":[2,3,4,5,6,7,8],"position":4}'
+        '],"v":1}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, pinned", LB_DEMOS, ids=[
+    "vclb-bounded", "eluder-merkle", "shatter-trivial",
+    "halfspace-bounded", "halfspace-merkle", "erm-whitebox"])
+def test_lb_demo_output_is_pinned_byte_for_byte(capsys, argv, pinned):
+    code, out, _ = _run(capsys, ["lb", "demo", *argv])
+    assert code == 0
+    assert out == json.dumps(json.loads(pinned), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("item", [
+    {"x": 1.7, "y": 1}, {"x": 1, "y": 0.5}, {"x": True, "y": 1}, {"x": "1", "y": 1}])
+def test_dataset_values_must_be_json_integers(tmp_path, thr4_file, capsys, item):
+    data = _write(tmp_path / "d.json", {"items": [{"x": 2, "y": 0}, item]})
+    code, _, err = _run(capsys, ["vs-encode", thr4_file, data])
+    assert code == 1 and "d.json: item 2" in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("index", [1.5, True, "1"])
+def test_query_indices_must_be_json_integers(tmp_path, thr4_file, capsys, index):
+    data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}, {"x": 2, "y": 0}]})
+    queries = _write(tmp_path / "q.json", {"indices": [2, index]})
+    code, _, err = _run(
+        capsys,
+        ["scheme", "run", "--scheme", "trivial", "--class", thr4_file,
+         "--dataset", data, "--queries", queries],
+    )
+    assert code == 1 and "q.json: query 1 index must be an integer" in err
+
+
+@pytest.mark.parametrize("pair", [[1.0, 1], [1, False], ["1", 1]])
+def test_encoding_pairs_must_be_json_integers(tmp_path, thr4_file, capsys, pair):
+    good = _write(tmp_path / "a.json", {"kind": "realizable", "pairs": [[2, 1]]})
+    bad = _write(tmp_path / "b.json", {"kind": "realizable", "pairs": [[2, 1], pair]})
+    code, _, err = _run(capsys, ["merge", thr4_file, good, bad])
+    assert code == 1 and "b.json: encoding pair 2 must be an integer" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "thresholds", "m": 2.9}, {"kind": "parity", "d": True},
+    {"kind": "random", "m": 4, "seed": "7"}])
+def test_generator_parameters_must_be_json_integers(tmp_path, capsys, spec):
+    path = _write(tmp_path / "c.json", {"generator": spec})
+    code, _, err = _run(capsys, ["dims", path])
+    assert code == 1 and f"c.json: generator {spec['kind']!r} parameter" in err
+
+
+@pytest.mark.parametrize("params", ['[1]', '{"m": 2.9}', '{"n": true}', '{"d": "4"}'])
+def test_lb_demo_params_must_be_an_object_of_integers(capsys, params):
+    instance = "halfspace" if "d" in params else "vclb"
+    code, out, err = _run(capsys, ["lb", "demo", "--instance", instance, "--params", params])
+    assert code == 2 and out == "" and "--params" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "{cls}", "--cap", "-1"],
+    ["scheme", "run", "--scheme", "bounded", "--class", "{cls}", "--dataset", "{data}",
+     "--dim-cap", "-1"]])
+def test_negative_dimension_caps_exit_2(tmp_path, thr4_file, capsys, argv):
+    data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}]})
+    argv = [a.format(cls=thr4_file, data=data) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "" and "must be at least 0" in err
+    code, _, _ = _run(capsys, [a if a != "-1" else "0" for a in argv])
+    assert code == 0

@@ -32,6 +32,7 @@ from unlearn_lab.dimensions import (
     verify_shattered,
     verify_star_set,
 )
+from unlearn_lab.report import scheme_bound
 
 
 def test_thresholds_m4_exact_values():
@@ -100,6 +101,36 @@ def test_cap_exceeded_sentinels():
     assert vc_dimension(all_labelings(3), cap=1) == CAP_EXCEEDED
     assert star_number(all_labelings(3), cap=2) == CAP_EXCEEDED
     assert hollow_star_number(thresholds_1d(8), cap=1) == CAP_EXCEEDED
+
+
+SEARCHES = (vc_dimension, star_number, hollow_star_number, eluder_dimension)
+
+
+def test_negative_caps_raise():
+    fc = thresholds_1d(4)
+    oracle = HalfspaceOracle([(i,) for i in range(3)])
+    for search in SEARCHES:
+        for handle in (fc, oracle):
+            with pytest.raises(ValueError, match="at least 0"):
+                search(handle, cap=-1)
+    for handle in (fc, oracle):
+        with pytest.raises(ValueError, match="at least 0"):
+            compute_dims(handle, cap=-1)
+    for scheme in ("bounded", "merkle"):
+        with pytest.raises(ValueError, match="at least 0"):
+            scheme_bound(scheme, fc, 3, k=1, dim_cap=-1)
+
+
+def test_cap_zero_keeps_its_values():
+    fc = thresholds_1d(4)
+    # the hollow search at cap 0 looks for one-pair sets only, so it reads 0
+    # on thresholds although their hollow star number is 2
+    assert [search(fc, cap=0) for search in SEARCHES] == [CAP_EXCEEDED, CAP_EXCEEDED, 0, CAP_EXCEEDED]
+    rep = compute_dims(fc, cap=0)
+    assert (rep.vc, rep.star, rep.hollow_star, rep.eluder) == (CAP_EXCEEDED, CAP_EXCEEDED, 0, CAP_EXCEEDED)
+    assert rep.caps == dict.fromkeys(("vc", "star", "hollow_star", "eluder"), 0)
+    assert scheme_bound("bounded", fc, 3, k=1, dim_cap=0)["bits"] == 1
+    assert scheme_bound("bounded", fc, 3, k=1)["bits"] == 21
 
 
 def test_halfspace_1d_hollow_star_is_three():

@@ -198,3 +198,60 @@ def test_information_floor_demonstration():
         max_bounded = max(max_bounded, run_b.aux_bits)
     assert max_trivial >= p
     assert max_bounded >= p
+
+
+class _RecordingScheme:
+    """Pass-through scheme that keeps the entries of every unlearn call."""
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+        self.ticketed = getattr(scheme, "ticketed", False)
+        self.deleted = []
+
+    def learn(self, data):
+        return self.scheme.learn(data)
+
+    def unlearn(self, entries, *rest):
+        self.deleted.append(entries)
+        return self.scheme.unlearn(entries, *rest)
+
+    def aux_bits(self, aux):
+        return self.scheme.aux_bits(aux)
+
+    def ticket_bits(self, ticket):
+        return self.scheme.ticket_bits(ticket)
+
+
+def _eluder_on_thresholds(m, n):
+    fc = thresholds_1d(m)
+    return eluder_lb_instance(fc, compute_dims(fc).witnesses["eluder"], n)
+
+
+AUDITED = {
+    "vclb": lambda: (vclb_instance("1/2", 6), TrivialScheme),
+    "eluder": lambda: (_eluder_on_thresholds(6, 12), TrivialScheme),
+    "shatter": lambda: (shatter_lb_instance(all_labelings(3), (0, 1, 2)), TrivialScheme),
+    "halfspace": lambda: (halfspace_lb_instance(4, 2), lambda h: BoundedDeletionScheme(h, 2)),
+    "erm-whitebox": lambda: (whitebox_erm_reduction(_eluder_on_thresholds(4, 8)), TrivialErmScheme),
+}
+
+
+@pytest.mark.parametrize("family", AUDITED)
+def test_unlearn_entries_carry_only_the_bits_already_recovered(family):
+    # Recovering the secret bounds a scheme's memory only if the entries the
+    # adversary hands to unlearn reveal nothing beyond the bits recovered
+    # before that step: across secrets that agree on those bits, every
+    # step's entries must be the same.
+    inst, make = AUDITED[family]()
+    scheme = _RecordingScheme(make(inst.handle))
+    fixed = inst.fixed_bits or {}
+    entries_at = {}
+    for z in product((0, 1), repeat=inst.secret_len):
+        if any(z[pos - 1] != bit for pos, bit in fixed.items()):
+            continue
+        scheme.deleted.clear()
+        assert run_adversary(inst, scheme, z).exact
+        assert len(scheme.deleted) == len(inst.recovery_order)
+        for step, (pos, entries) in enumerate(zip(inst.recovery_order, scheme.deleted)):
+            known = tuple(z[q - 1] for q in inst.recovery_order[:step])
+            assert entries_at.setdefault((pos, known), entries) == entries, (z, pos)
