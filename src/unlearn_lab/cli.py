@@ -206,8 +206,14 @@ def _build_instance(name: str, params):
                 classfiles._json_int(params[key], "--params", repr(key))
     except FileFormatError as exc:
         raise UsageError(str(exc)) from None
+    beta = params.get("beta", "1/2")
+    try:  # a JSON integer or a rational string such as "1/3"; no bool, float or list
+        beta = Fraction(beta if type(beta) in (int, str) else None)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"--params 'beta' must be an integer or a rational string such as "
+                         f"\"1/3\", got {json.dumps(beta)}") from None
     if name == "vclb":
-        return vclb_instance(params.get("beta", Fraction(1, 2)), params.get("m", 8))
+        return vclb_instance(beta, params.get("m", 8))
     if name in ("eluder", "erm-whitebox"):
         m = params.get("m", 8 if name == "eluder" else 4)
         fc = thresholds_1d(m)
@@ -230,7 +236,7 @@ def _cmd_lb_demo(args) -> int:
     inst = _build_instance(args.instance, params)
     if inst.task == "erm" and args.scheme not in ("trivial-erm",):
         raise UsageError("ERM instances need --scheme trivial-erm")
-    if inst.task == "realizability" and args.scheme in ("trivial-erm", "erm-merkle"):
+    if inst.task == "realizability" and args.scheme == "trivial-erm":
         raise UsageError("realizability instances need a realizability scheme")
     scheme = _build_scheme(args.scheme, inst.handle, args.k, None)
     if args.secret:

@@ -191,11 +191,10 @@ def mergeable_decode(handle: ClassHandle, enc: VsEncoding) -> bool:
 class NodeStates:
     """The node states of an aggregation tree over one class handle.
 
-    `empty()` is the state of the empty dataset (padding leaves and the
-    start of a fold), `leaves(pairs)` the states of the one-item datasets
-    in order, `meet(a, b)` the state of the union of two datasets,
-    `encode(s)` its canonical encoding and `state(enc)` the state an
-    encoding stands for. For a FiniteClass a state is a version-space
+    `empty()` is the state of the empty dataset (padding leaves),
+    `leaves(pairs)` the states of the one-item datasets in order,
+    `meet(a, b)` the state of the union of two datasets and `encode(s)`
+    its canonical encoding. For a FiniteClass a state is a version-space
     mask: the meet is `&`, each distinct pair of a `leaves` call goes
     through `vs_mask` once (so pairs are validated as usual), and `encode`
     reads the mask-keyed canonical cache, so building a tree never decodes
@@ -205,7 +204,7 @@ class NodeStates:
     as `vs_encode(handle, ())` asks it.
     """
 
-    __slots__ = ("empty", "leaves", "meet", "encode", "state")
+    __slots__ = ("empty", "leaves", "meet", "encode")
 
     def __init__(self, handle: ClassHandle):
         if isinstance(handle, FiniteClass):
@@ -214,12 +213,11 @@ class NodeStates:
             self.leaves = partial(_leaf_masks, handle)
             self.meet = int.__and__
             self.encode = partial(_canonical_from_mask, handle)
-            self.state = partial(decode_mask, handle)
         else:
             self.empty = partial(vs_encode, handle, ())
             self.leaves = lambda pairs: [vs_encode(handle, (p,)) for p in pairs]
             self.meet = partial(merge, handle)
-            self.encode = self.state = lambda enc: enc
+            self.encode = lambda enc: enc
 
 
 def _leaf_masks(fc: FiniteClass, pairs: Sequence[Pair]) -> list[int]:

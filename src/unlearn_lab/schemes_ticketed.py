@@ -8,7 +8,8 @@ Every unlearn rejects a repeated id through core.distinct_ids. Tickets
 are trusted structural values; their bit sizes come from the cost model,
 not from serialization. The tree schemes' tickets are a read-only
 mapping built on access: learn keeps the tree's levels, and a ticket is
-read from them when its id is looked up.
+read from them when its id is looked up. Tree unlearn asks the class one
+question about the pairs of the deleted items' sibling encodings.
 
 Known defect: the tree schemes place leaves by position but tickets by
 item id, so they are exact only on datasets whose ids are 1..n. On the
@@ -18,11 +19,13 @@ IndexError (ROADMAP item 1).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .compression import NodeStates, VsEncoding, decode_mask
-from .core import ClassHandle, Dataset, Entry, FiniteClass, count_bits, distinct_ids
+from .compression import NodeStates, VsEncoding
+from .core import (
+    ClassHandle, Dataset, Entry, FiniteClass, Pair, count_bits, distinct_ids, is_realizable
+)
 from .schemes_central import PreconditionError
 
 
@@ -91,11 +94,12 @@ class _AggregationTreeScheme:
     leaf count to a power of two); every internal node is the merge of
     its children, hence the encoding of its whole subtree. The ticket of
     leaf i lists the sibling encodings along the root-to-i path, which is
-    exactly what unlearning needs to re-encode any survivor set that
-    excludes leaf i. The tree is built and folded in the node states of
+    exactly what unlearning needs to answer for any survivor set that
+    excludes leaf i. The tree is built in the node states of
     `compression.NodeStates` (version-space masks on a FiniteClass) and
     turned into encodings only where a ticket or a root needs one: the
-    levels are kept, and each ticket is read from them on lookup.
+    levels are kept, and each ticket is read from them on lookup. `unlearn`
+    is shared; each scheme supplies only `_answer(support)`.
     """
 
     ticketed = True
@@ -122,14 +126,15 @@ class _AggregationTreeScheme:
             level = list(map(states.meet, level[::2], level[1::2]))
         return states.encode(level[0]), TicketView(data, levels, states.encode)
 
-    def _fold_survivor(
+    def _survivor_support(
         self, deleted: Sequence[Entry], tickets: Mapping[int, Ticket]
-    ) -> VsEncoding:
-        """Encoding of the survivors, merged from the deleted items' tickets.
+    ) -> frozenset[Pair]:
+        """The pairs of the off-path sibling encodings of the deleted leaves.
 
-        Only the root paths of the deleted leaves are walked: every
-        off-path sibling is a subtree with no deleted leaf, and merging
-        them in node order re-encodes exactly the survivor set.
+        Only the root paths of the deleted leaves are walked: the off-path
+        siblings are the subtrees with no deleted leaf, which cover exactly
+        the survivors, and each encoding has its subtree's version space, so
+        the union of their pairs has the survivors' version space.
         """
         distinct_ids(i for i, _ in deleted)
         chosen = []
@@ -156,11 +161,12 @@ class _AggregationTreeScheme:
                 dirty.add(v)
                 v //= 2
             dirty.add(v)
-        states = self.states
-        folded = states.empty()
-        for v in sorted(provided.keys() - dirty):
-            folded = states.meet(folded, states.state(provided[v]))
-        return states.encode(folded)
+        return frozenset().union(*(provided[v].pairs for v in provided.keys() - dirty))
+
+    def unlearn(self, deleted: Sequence[Entry], aux, tickets: Mapping[int, Ticket]):
+        if not deleted:
+            return aux
+        return self._answer(self._survivor_support(deleted, tickets))
 
     def ticket_bits(self, ticket: Ticket) -> int:
         m = self.handle.domain_size
@@ -179,12 +185,8 @@ class MerkleScheme(_AggregationTreeScheme):
         # a canonical encoding is realizable exactly when it decodes to yes
         return root.realizable, root.realizable, tickets
 
-    def unlearn(
-        self, deleted: Sequence[Entry], aux: bool, tickets: Mapping[int, Ticket]
-    ) -> bool:
-        if not deleted:
-            return aux
-        return self._fold_survivor(deleted, tickets).realizable
+    def _answer(self, support: Iterable[Pair]) -> bool:
+        return is_realizable(self.handle, support)
 
     def aux_bits(self, aux: bool) -> int:
         return 1
@@ -202,23 +204,16 @@ class ErmMerkleScheme(_AggregationTreeScheme):
             raise TypeError("the ERM tree scheme needs an explicit finite class")
         super().__init__(fc, encoding_cap)
 
-    def _decode_erm(self, enc: VsEncoding) -> int:
-        mask = decode_mask(self.handle, enc)
+    def _answer(self, support: Iterable[Pair]) -> int:
+        mask = self.handle.vs_mask(support)
         if not mask:
             raise PreconditionError("survivor dataset is not realizable")
         return (mask & -mask).bit_length() - 1  # the lowest member's index
 
     def learn(self, data: Dataset) -> tuple[int, int, TicketView]:
         root, tickets = self._learn_tree(data)
-        answer = self._decode_erm(root)
+        answer = self._answer(root.pairs)
         return answer, answer, tickets
-
-    def unlearn(
-        self, deleted: Sequence[Entry], aux: int, tickets: Mapping[int, Ticket]
-    ) -> int:
-        if not deleted:
-            return aux
-        return self._decode_erm(self._fold_survivor(deleted, tickets))
 
     def aux_bits(self, aux: int) -> int:
         return (len(self.handle.hypotheses) - 1).bit_length()

@@ -24,6 +24,7 @@ from unlearn_lab import (
     vs_decode,
     vs_encode,
 )
+from unlearn_lab.compression import decode_mask
 
 SIZES = (0, 1, 2, 3, 5, 8, 13, 64)
 
@@ -74,7 +75,11 @@ def _check_against_reference(scheme, handle, data, rng, decode):
         ids = rng.sample(range(1, len(data) + 1), rng.randint(1, min(4, len(data))))
         entries = data.entries_for(ids)
         want = _reference_fold(handle, size, nodes, ids)
-        assert scheme._fold_survivor(entries, tickets) == want
+        support = scheme._survivor_support(entries, tickets)
+        if isinstance(handle, FiniteClass):
+            assert handle.vs_mask(support) == decode_mask(handle, want)
+        else:
+            assert is_realizable(handle, support) == want.realizable
         assert scheme.unlearn(entries, aux, {i: tickets[i] for i in ids}) == decode(handle, want)
 
 
@@ -209,12 +214,18 @@ def test_merkle_learn_masks_each_distinct_pair_once():
     fc.calls = 0
     _, aux, tickets = scheme.learn(data)
     assert fc.calls == len(data.distinct_pairs()) == 14
-    # a 4-item unlearn masks each realizable off-path sibling once (22 here;
-    # the merge chain it replaced made 25 calls on the same query)
+    # a 4-item unlearn asks once about the union of its off-path siblings'
+    # pairs; here the survivors hold both labels of a point, so no mask is needed
     fc.calls = 0
     entries = data.entries_for([3, 77, 150, 299])
-    scheme.unlearn(entries, aux, tickets)
-    assert fc.calls == 22
+    assert scheme.unlearn(entries, aux, tickets) is False
+    assert fc.calls == 0
+    # on realizable survivors that one question is one mask
+    clean = Dataset.from_pairs((x, fc.hypotheses[5][x]) for x, _ in data.pairs())
+    _, aux, tickets = scheme.learn(clean)
+    fc.calls = 0
+    assert scheme.unlearn(clean.entries_for([3, 77, 150, 299]), aux, tickets) is True
+    assert fc.calls == 1
 
 
 def test_erm_learn_masks_each_distinct_pair_once_and_decodes_the_root():
@@ -236,9 +247,8 @@ class _CountingOracle:
         return self.inner.is_realizable_pairs(pairs)
 
 
-def test_merkle_on_an_oracle_keeps_its_oracle_call_count():
-    # the oracle path builds and folds through vs_encode and merge as
-    # before: 72 and 22 calls, the same as the node-by-node tree it replaced
+def test_merkle_on_an_oracle_learns_as_before_and_unlearns_in_one_call():
+    # learn builds through vs_encode and merge, node by node; unlearn asks once
     oracle = _CountingOracle(HalfspaceOracle([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]))
     data = Dataset.from_pairs([(0, 0), (1, 1), (2, 0), (3, 1), (4, 1)])
     scheme = MerkleScheme(oracle)
@@ -246,7 +256,54 @@ def test_merkle_on_an_oracle_keeps_its_oracle_call_count():
     assert answer is True and oracle.calls == 72
     oracle.calls = 0
     assert scheme.unlearn(data.entries_for([2, 4]), aux, tickets) is True
-    assert oracle.calls == 22
+    assert oracle.calls == 1
+
+
+def test_erm_unlearn_makes_one_mask_call():
+    fc, _ = _counting_setup()
+    row = fc.hypotheses[5]
+    data = Dataset.from_pairs((x % 8, row[x % 8]) for x in range(300))
+    scheme = ErmMerkleScheme(fc)
+    answer, aux, tickets = scheme.learn(data)
+    for ids in ([1], [8, 16], [3, 77, 150, 299]):
+        fc.calls = 0
+        assert scheme.unlearn(data.entries_for(ids), aux, tickets) == answer
+        assert fc.calls == 1
+
+
+class _RecordingOracle(_CountingOracle):
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.asked = []
+
+    def is_realizable_pairs(self, pairs):
+        self.asked.append(frozenset(pairs))
+        return super().is_realizable_pairs(pairs)
+
+
+def test_merkle_unlearn_asks_the_oracle_only_about_survivor_pairs():
+    # oracle encodings keep only data pairs, so unlearn never hands the
+    # oracle a larger system than retraining on the survivors would
+    rng = random.Random(606)
+    points = [(0, 0), (2, 1), (1, 3), (-1, 2), (3, -1), (1, 1)]
+    checked = 0
+    for n in (1, 2, 3, 5, 8, 13, 20):
+        for _ in range(4):
+            oracle = _RecordingOracle(HalfspaceOracle(points))
+            data = Dataset.from_pairs(
+                (rng.randrange(len(points)), rng.randint(0, 1)) for _ in range(n)
+            )
+            scheme = MerkleScheme(oracle)
+            _, aux, tickets = scheme.learn(data)
+            for _ in range(7):
+                ids = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+                survivors = data.remove(ids)
+                oracle.asked.clear()
+                got = scheme.unlearn(data.entries_for(ids), aux, tickets)
+                assert got == is_realizable(oracle.inner, survivors)
+                assert all(s <= survivors.distinct_pairs() for s in oracle.asked)
+                checked += sum(1 for s in oracle.asked if s)
+    assert checked >= 50  # 58 non-empty supports asked over 196 queries
 
 
 def test_tree_learn_raises_index_error_on_an_id_beyond_the_padded_size():

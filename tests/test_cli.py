@@ -544,6 +544,28 @@ def test_lb_demo_params_must_be_an_object_of_integers(capsys, params):
     assert code == 2 and out == "" and "--params" in err
 
 
+@pytest.mark.parametrize("beta", ['true', '0.5', '"abc"', '[1]', '"1/0"'])
+def test_lb_demo_beta_must_be_an_integer_or_a_rational_string(capsys, beta):
+    params = f'{{"beta": {beta}, "m": 3}}'
+    code, out, err = _run(capsys, ["lb", "demo", "--instance", "vclb", "--params", params])
+    assert code == 2 and out == "" and "--params 'beta'" in err and beta in err
+
+
+@pytest.mark.parametrize("beta, secret", [('1', "101"), ('"1/3"', "011")])
+def test_lb_demo_reads_an_integer_or_rational_string_beta(capsys, beta, secret):
+    params = f'{{"beta": {beta}, "m": 3}}'
+    argv = ["lb", "demo", "--instance", "vclb", "--params", params, "--secret", secret]
+    code, out, _ = _run(capsys, argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["exact"] and doc["recovered"] == secret
+
+
+def test_lb_demo_beta_with_a_non_integer_inverse_is_a_domain_error(capsys):
+    params = '{"beta": "2/3", "m": 3}'
+    code, out, err = _run(capsys, ["lb", "demo", "--instance", "vclb", "--params", params])
+    assert code == 1 and out == "" and "1/beta" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["dims", "{cls}", "--cap", "-1"],
     ["scheme", "run", "--scheme", "bounded", "--class", "{cls}", "--dataset", "{data}",

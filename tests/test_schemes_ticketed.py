@@ -84,8 +84,8 @@ def test_merkle_fold_equals_survivor_encoding(thr4):
     scheme = MerkleScheme(thr4)
     data = Dataset.from_pairs([(i % 4, 1) for i in range(8)])
     _, aux, tickets = scheme.learn(data)
-    folded = scheme._fold_survivor(data.entries_for([5]), tickets)
-    assert folded == vs_encode(thr4, data.remove([5]))
+    support = scheme._survivor_support(data.entries_for([5]), tickets)
+    assert vs_encode(thr4, support) == vs_encode(thr4, data.remove([5]))
 
 
 def test_tree_nodes_are_merges_of_children():
