@@ -197,22 +197,37 @@ def _cmd_scheme_run(args) -> int:
     return 0
 
 
+# the --params keys each lb demo instance reads, in --instance choice order
+_INSTANCE_PARAMS = {
+    "vclb": ("beta", "m"),
+    "eluder": ("m", "n"),
+    "shatter": ("m",),
+    "halfspace": ("d", "k"),
+    "erm-whitebox": ("m", "n"),
+}
+
+
 def _build_instance(name: str, params):
     if not isinstance(params, dict):
         raise UsageError("--params must be a JSON object")
+    known = _INSTANCE_PARAMS[name]
+    for key in params:
+        if key not in known:
+            raise UsageError(f"--params key {key!r} is not read by instance {name!r}, "
+                             f"which reads {', '.join(map(repr, known))}")
     try:
         for key in ("m", "n", "d", "k"):
             if key in params:
                 classfiles._json_int(params[key], "--params", repr(key))
     except FileFormatError as exc:
         raise UsageError(str(exc)) from None
-    beta = params.get("beta", "1/2")
-    try:  # a JSON integer or a rational string such as "1/3"; no bool, float or list
-        beta = Fraction(beta if type(beta) in (int, str) else None)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise UsageError(f"--params 'beta' must be an integer or a rational string such as "
-                         f"\"1/3\", got {json.dumps(beta)}") from None
     if name == "vclb":
+        beta = params.get("beta", "1/2")
+        try:  # a JSON integer or a rational string such as "1/3"; no bool, float or list
+            beta = Fraction(beta if type(beta) in (int, str) else None)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise UsageError(f"--params 'beta' must be an integer or a rational string such as "
+                             f"\"1/3\", got {json.dumps(beta)}") from None
         return vclb_instance(beta, params.get("m", 8))
     if name in ("eluder", "erm-whitebox"):
         m = params.get("m", 8 if name == "eluder" else 4)
@@ -223,9 +238,7 @@ def _build_instance(name: str, params):
     if name == "shatter":
         m = params.get("m", 3)
         return shatter_lb_instance(all_labelings(m), tuple(range(m)))
-    if name == "halfspace":
-        return halfspace_lb_instance(params.get("d", 4), params.get("k", 2))
-    raise UsageError(f"unknown instance {name!r}")
+    return halfspace_lb_instance(params.get("d", 4), params.get("k", 2))
 
 
 def _cmd_lb_demo(args) -> int:
@@ -338,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lb", help="run a secret-recovery demonstration")
     lb_sub = p.add_subparsers(dest="lb_command", required=True)
     pd = lb_sub.add_parser("demo")
-    pd.add_argument("--instance", required=True,
-                    choices=["vclb", "eluder", "shatter", "halfspace", "erm-whitebox"])
+    pd.add_argument("--instance", required=True, choices=list(_INSTANCE_PARAMS))
     pd.add_argument("--params", help="JSON object of instance parameters")
     pd.add_argument("--scheme", default="trivial",
                     choices=["trivial", "trivial-erm", "bounded", "merkle"])

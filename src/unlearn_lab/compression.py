@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 from .core import (
     ClassHandle,
@@ -193,36 +193,56 @@ class NodeStates:
 
     `empty()` is the state of the empty dataset (padding leaves),
     `leaves(pairs)` the states of the one-item datasets in order,
-    `meet(a, b)` the state of the union of two datasets and `encode(s)`
-    its canonical encoding. For a FiniteClass a state is a version-space
-    mask: the meet is `&`, each distinct pair of a `leaves` call goes
-    through `vs_mask` once (so pairs are validated as usual), and `encode`
-    reads the mask-keyed canonical cache, so building a tree never decodes
-    an encoding. For an oracle a state is the encoding itself, built by
-    `vs_encode` and `merge` exactly as those calls would build it; `empty`
-    is a call rather than a value so that the oracle is asked at each use,
-    as `vs_encode(handle, ())` asks it.
+    `meet(a, b)` the state of the union of two datasets, `encode(s)` its
+    canonical encoding, and `version_space(states)` the version space of
+    the union of the given states' datasets, as far as the handle can
+    give it. For a FiniteClass a state is a version-space mask: the meet
+    is `&`, each distinct pair of a `leaves` call goes through `vs_mask`
+    once, on its first occurrence (so pairs are validated as usual),
+    `encode` reads the mask-keyed canonical cache, and `version_space`
+    is the AND of the masks, so neither building a tree nor answering
+    from its states decodes or encodes anything. For an oracle a state is
+    the encoding itself, built by `vs_encode` and `merge` exactly as
+    those calls would build it, and `encode` is the identity; `empty` is
+    a call rather than a value so that the oracle is asked at each use,
+    as `vs_encode(handle, ())` asks it. An oracle has no masks, so its
+    `version_space` is only whether the space is non-empty: one
+    `is_realizable` on the union of the encodings' pairs, which has the
+    version space of the union of the encoded datasets. Either way the
+    result is truthy exactly when that union is realizable.
     """
 
-    __slots__ = ("empty", "leaves", "meet", "encode")
+    __slots__ = ("empty", "leaves", "meet", "encode", "version_space")
 
     def __init__(self, handle: ClassHandle):
         if isinstance(handle, FiniteClass):
             full = handle.full_mask
             self.empty = lambda: full
-            self.leaves = partial(_leaf_masks, handle)
+            self.leaves = lambda pairs: list(map(_LeafMasks(handle).__getitem__, pairs))
             self.meet = int.__and__
             self.encode = partial(_canonical_from_mask, handle)
+            self.version_space = lambda masks: reduce(int.__and__, masks, full)
         else:
             self.empty = partial(vs_encode, handle, ())
             self.leaves = lambda pairs: [vs_encode(handle, (p,)) for p in pairs]
             self.meet = partial(merge, handle)
             self.encode = lambda enc: enc
+            self.version_space = lambda encs: is_realizable(
+                handle, frozenset().union(*(enc.pairs for enc in encs))
+            )
 
 
-def _leaf_masks(fc: FiniteClass, pairs: Sequence[Pair]) -> list[int]:
-    masks = {p: fc.vs_mask((p,)) for p in dict.fromkeys(pairs)}
-    return list(map(masks.__getitem__, pairs))
+class _LeafMasks(dict):
+    """Single-pair version-space masks of one class, each computed on first lookup."""
+
+    __slots__ = ("fc",)
+
+    def __init__(self, fc: FiniteClass):
+        self.fc = fc
+
+    def __missing__(self, pair: Pair) -> int:
+        mask = self[pair] = self.fc.vs_mask((pair,))
+        return mask
 
 
 def mergeable_triple(

@@ -7,9 +7,13 @@ tickets, and must answer exactly as retraining on the survivors would.
 Every unlearn rejects a repeated id through core.distinct_ids. Tickets
 are trusted structural values; their bit sizes come from the cost model,
 not from serialization. The tree schemes' tickets are a read-only
-mapping built on access: learn keeps the tree's levels, and a ticket is
-read from them when its id is looked up. Tree unlearn asks the class one
-question about the pairs of the deleted items' sibling encodings.
+mapping built on access: learn keeps the tree's node-state levels, and
+a ticket copies its off-path sibling states (version-space masks on a
+finite class) from them when its id is looked up; they are encoded only
+where a ticket's size is priced. Tree unlearn answers from the deleted
+items' sibling states alone: the AND of the masks on a finite class, one
+realizability question about the union of the encodings' pairs on an
+oracle.
 
 Known defect: the tree schemes place leaves by position but tickets by
 item id, so they are exact only on datasets whose ids are 1..n. On the
@@ -19,12 +23,13 @@ IndexError (ROADMAP item 1).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .compression import NodeStates, VsEncoding
 from .core import (
-    ClassHandle, Dataset, Entry, FiniteClass, Pair, count_bits, distinct_ids, is_realizable
+    ClassHandle, Dataset, Entry, FiniteClass, count_bits, distinct_ids
 )
 from .schemes_central import PreconditionError
 
@@ -38,14 +43,24 @@ class Ticket:
     """Per-item payload of a tree scheme.
 
     `leaf` is the item id, read as the item's leaf in the tree (exact
-    only while ids are 1..n). `siblings` holds the encoding of the
-    off-path subtree at every level, root side first; a tree over
-    2**depth padded leaves yields exactly `depth` entries. A learn builds
-    no tickets: its `TicketView` makes one each time an id is looked up.
+    only while ids are 1..n). `states` holds the node state of the
+    off-path subtree at every level, root side first (see
+    `compression.NodeStates`); a tree over 2**depth padded leaves yields
+    exactly `depth` entries. `encode` is the class's state encoder, and
+    `siblings` the states' encodings, computed each time it is read. On
+    a FiniteClass a state is a version-space mask, which determines its
+    canonical encoding and is determined by it, so a ticket holds exactly
+    what `ticket_bits` prices; on an oracle the states are the encodings.
+    Tickets compare by leaf and states.
     """
 
     leaf: int
-    siblings: tuple[VsEncoding, ...]
+    states: tuple
+    encode: Callable[[object], VsEncoding] = field(repr=False, compare=False)
+
+    @property
+    def siblings(self) -> tuple[VsEncoding, ...]:
+        return tuple(map(self.encode, self.states))
 
 
 class TicketView(Mapping[int, Ticket]):
@@ -53,9 +68,9 @@ class TicketView(Mapping[int, Ticket]):
 
     Holds the learned dataset and the tree's node-state levels, leaves
     first and the root level left out. Keys are the dataset's ids in
-    entry order; looking one up reads the sibling of the id's leaf at
-    every level, encodes each and returns a new `Ticket`. An unknown id
-    raises `core.UnknownItemError`, a KeyError.
+    entry order; looking one up copies the sibling state of the id's
+    leaf at every level into a new `Ticket` and encodes nothing. An
+    unknown id raises `core.UnknownItemError`, a KeyError.
     """
 
     __slots__ = ("_data", "_levels", "_encode")
@@ -69,11 +84,12 @@ class TicketView(Mapping[int, Ticket]):
 
     def __getitem__(self, item_id: int) -> Ticket:
         self._data.pair(item_id)  # raises on an id the dataset lacks
-        v, siblings = item_id - 1, []
+        v, states = item_id - 1, []
         for level in self._levels:
-            siblings.append(level[v ^ 1])
+            states.append(level[v ^ 1])
             v >>= 1
-        return Ticket(item_id, tuple(map(self._encode, reversed(siblings))))
+        states.reverse()
+        return Ticket(item_id, tuple(states), self._encode)
 
     def __iter__(self) -> Iterator[int]:
         return (i for i, _ in self._data.entries)
@@ -95,11 +111,12 @@ class _AggregationTreeScheme:
     its children, hence the encoding of its whole subtree. The ticket of
     leaf i lists the sibling encodings along the root-to-i path, which is
     exactly what unlearning needs to answer for any survivor set that
-    excludes leaf i. The tree is built in the node states of
-    `compression.NodeStates` (version-space masks on a FiniteClass) and
-    turned into encodings only where a ticket or a root needs one: the
-    levels are kept, and each ticket is read from them on lookup. `unlearn`
-    is shared; each scheme supplies only `_answer(support)`.
+    excludes leaf i. The tree is built, kept and read in the node states
+    of `compression.NodeStates` (version-space masks on a FiniteClass):
+    learn keeps the levels, each ticket copies its sibling states from
+    them on lookup, and only `ticket_bits` turns states into encodings.
+    `unlearn` is shared; each scheme supplies only `_answer(space)`, where
+    `space` is what `NodeStates.version_space` gives for the survivors.
     """
 
     ticketed = True
@@ -111,30 +128,29 @@ class _AggregationTreeScheme:
             encoding_cap if encoding_cap is not None else 2 * handle.domain_size
         )
 
-    def _learn_tree(self, data: Dataset) -> tuple[VsEncoding, TicketView]:
+    def _learn_tree(self, data: Dataset) -> tuple[object, TicketView]:
+        """The root's node state and the tickets of a tree over `data`."""
         states = self.states
         size = 1 << tree_depth(len(data))
         # the leaf is the item id: an id above the padded size has no leaf
-        if data and max(data.ids()) > size:
+        if data and max(map(itemgetter(0), data.entries)) > size:
             raise IndexError(f"item id above the tree's {size} leaves")
         pad = states.empty()
-        level = states.leaves(data.pairs())
+        level = states.leaves(map(itemgetter(1), data.entries))
         level += [pad] * (size - len(level))
         levels = []
         while len(level) > 1:
             levels.append(level)
             level = list(map(states.meet, level[::2], level[1::2]))
-        return states.encode(level[0]), TicketView(data, levels, states.encode)
+        return level[0], TicketView(data, levels, states.encode)
 
-    def _survivor_support(
-        self, deleted: Sequence[Entry], tickets: Mapping[int, Ticket]
-    ) -> frozenset[Pair]:
-        """The pairs of the off-path sibling encodings of the deleted leaves.
+    def _survivor_space(self, deleted: Sequence[Entry], tickets: Mapping[int, Ticket]):
+        """`NodeStates.version_space` of the off-path sibling states of the deleted leaves.
 
         Only the root paths of the deleted leaves are walked: the off-path
         siblings are the subtrees with no deleted leaf, which cover exactly
-        the survivors, and each encoding has its subtree's version space, so
-        the union of their pairs has the survivors' version space.
+        the survivors, so the union of their datasets has the survivors'
+        version space.
         """
         distinct_ids(i for i, _ in deleted)
         chosen = []
@@ -143,11 +159,11 @@ class _AggregationTreeScheme:
             if t is None:
                 raise TicketError(f"missing ticket for deleted item {i}")
             chosen.append(t)
-        depth = len(chosen[0].siblings)
-        if any(len(t.siblings) != depth for t in chosen):
+        depth = len(chosen[0].states)
+        if any(len(t.states) != depth for t in chosen):
             raise TicketError("tickets disagree on tree depth")
         size = 1 << depth
-        provided: dict[int, VsEncoding] = {}
+        provided: dict[int, object] = {}
         dirty: set[int] = set()
         for (i, _), t in zip(deleted, chosen):
             if not (1 <= t.leaf <= size):
@@ -155,22 +171,22 @@ class _AggregationTreeScheme:
             if t.leaf != i:
                 raise TicketError(f"ticket leaf {t.leaf} does not match item {i}")
             v = size + t.leaf - 1
-            for enc in reversed(t.siblings):
-                if provided.setdefault(v ^ 1, enc) != enc:
-                    raise TicketError(f"inconsistent encodings for tree node {v ^ 1}")
+            for state in reversed(t.states):
+                if provided.setdefault(v ^ 1, state) != state:
+                    raise TicketError(f"inconsistent states for tree node {v ^ 1}")
                 dirty.add(v)
                 v //= 2
             dirty.add(v)
-        return frozenset().union(*(provided[v].pairs for v in provided.keys() - dirty))
+        return self.states.version_space(provided[v] for v in provided.keys() - dirty)
 
     def unlearn(self, deleted: Sequence[Entry], aux, tickets: Mapping[int, Ticket]):
         if not deleted:
             return aux
-        return self._answer(self._survivor_support(deleted, tickets))
+        return self._answer(self._survivor_space(deleted, tickets))
 
     def ticket_bits(self, ticket: Ticket) -> int:
         m = self.handle.domain_size
-        size = 1 << len(ticket.siblings)
+        size = 1 << len(ticket.states)
         bits = count_bits(size - 1)
         for enc in ticket.siblings:
             bits += enc.bits(m, self.encoding_cap)
@@ -183,10 +199,11 @@ class MerkleScheme(_AggregationTreeScheme):
     def learn(self, data: Dataset) -> tuple[bool, bool, TicketView]:
         root, tickets = self._learn_tree(data)
         # a canonical encoding is realizable exactly when it decodes to yes
-        return root.realizable, root.realizable, tickets
+        realizable = self.states.encode(root).realizable
+        return realizable, realizable, tickets
 
-    def _answer(self, support: Iterable[Pair]) -> bool:
-        return is_realizable(self.handle, support)
+    def _answer(self, space) -> bool:
+        return bool(space)
 
     def aux_bits(self, aux: bool) -> int:
         return 1
@@ -196,7 +213,8 @@ class ErmMerkleScheme(_AggregationTreeScheme):
     """Tree scheme returning the lexicographically minimal consistent hypothesis.
 
     Valid only while the dataset and every queried survivor stay
-    realizable; central memory holds the answer index.
+    realizable; central memory holds the answer index. Its node states
+    are version-space masks, so it answers from a mask.
     """
 
     def __init__(self, fc: FiniteClass, encoding_cap: int | None = None):
@@ -204,15 +222,14 @@ class ErmMerkleScheme(_AggregationTreeScheme):
             raise TypeError("the ERM tree scheme needs an explicit finite class")
         super().__init__(fc, encoding_cap)
 
-    def _answer(self, support: Iterable[Pair]) -> int:
-        mask = self.handle.vs_mask(support)
+    def _answer(self, mask: int) -> int:
         if not mask:
             raise PreconditionError("survivor dataset is not realizable")
         return (mask & -mask).bit_length() - 1  # the lowest member's index
 
     def learn(self, data: Dataset) -> tuple[int, int, TicketView]:
         root, tickets = self._learn_tree(data)
-        answer = self._answer(root.pairs)
+        answer = self._answer(root)
         return answer, answer, tickets
 
     def aux_bits(self, aux: int) -> int:

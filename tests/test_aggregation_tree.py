@@ -13,9 +13,12 @@ from unlearn_lab import (
     FiniteClass,
     HalfspaceOracle,
     MerkleScheme,
+    PreconditionError,
     Ticket,
     TicketError,
     UnknownItemError,
+    count_bits,
+    erm_lexmin,
     is_realizable,
     merge,
     mergeable_decode,
@@ -24,7 +27,7 @@ from unlearn_lab import (
     vs_decode,
     vs_encode,
 )
-from unlearn_lab.compression import decode_mask
+from unlearn_lab.compression import NodeStates, decode_mask
 
 SIZES = (0, 1, 2, 3, 5, 8, 13, 64)
 
@@ -61,7 +64,7 @@ def _reference_fold(handle, size, nodes, ids):
 def _check_against_reference(scheme, handle, data, rng, decode):
     size, nodes = _reference_tree(handle, data.pairs())
     root, tickets = scheme._learn_tree(data)
-    assert root == nodes[1]
+    assert scheme.states.encode(root) == nodes[1]
     assert sorted(tickets) == list(range(1, len(data) + 1))
     for i, t in tickets.items():
         v, path = size + i - 1, []
@@ -75,25 +78,36 @@ def _check_against_reference(scheme, handle, data, rng, decode):
         ids = rng.sample(range(1, len(data) + 1), rng.randint(1, min(4, len(data))))
         entries = data.entries_for(ids)
         want = _reference_fold(handle, size, nodes, ids)
-        support = scheme._survivor_support(entries, tickets)
+        space = scheme._survivor_space(entries, tickets)
         if isinstance(handle, FiniteClass):
-            assert handle.vs_mask(support) == decode_mask(handle, want)
+            assert space == decode_mask(handle, want)
         else:
-            assert is_realizable(handle, support) == want.realizable
+            assert space is want.realizable
         assert scheme.unlearn(entries, aux, {i: tickets[i] for i in ids}) == decode(handle, want)
 
 
 def _reference_tickets(handle, data):
-    """Eager tickets in entry order: leaf = item id, path of position id - 1."""
+    """Eager tickets in entry order: leaf = item id, path of position id - 1.
+
+    Their states are the reference encodings' masks on a FiniteClass and
+    the encodings themselves on an oracle.
+    """
     size, nodes = _reference_tree(handle, data.pairs())
+    finite = isinstance(handle, FiniteClass)
+    encode = NodeStates(handle).encode
     tickets = {}
     for i, _ in data.entries:
         v, path = size + i - 1, []
         while v > 1:
-            path.append(nodes[v ^ 1])
+            enc = nodes[v ^ 1]
+            path.append(decode_mask(handle, enc) if finite else enc)
             v //= 2
-        tickets[i] = Ticket(i, tuple(reversed(path)))
+        tickets[i] = Ticket(i, tuple(reversed(path)), encode)
     return tickets
+
+
+def _leaves_and_siblings(tickets):
+    return {i: (t.leaf, t.siblings) for i, t in tickets.items()}
 
 
 def test_ticket_view_behaves_like_the_eager_ticket_dict():
@@ -106,7 +120,9 @@ def test_ticket_view_behaves_like_the_eager_ticket_dict():
         scheme = MerkleScheme(fc)
         for data in (full, full.remove(removed), shuffled):
             _, aux, view = scheme.learn(data)
-            assert dict(view) == _reference_tickets(fc, data)
+            want = _reference_tickets(fc, data)
+            assert dict(view) == want
+            assert _leaves_and_siblings(view) == _leaves_and_siblings(want)
             assert list(view) == [i for i, _ in data.entries]
             assert len(view) == len(data) and set(view) == data.ids()
         gapped = full.remove(removed)
@@ -138,6 +154,50 @@ def test_tree_learn_builds_no_ticket_until_one_is_read():
     assert live_tickets() == before
     one = tickets[2048]
     assert live_tickets() == before + 1 and one.leaf == 2048
+
+
+def test_state_tickets_match_eager_encoded_tickets_and_retraining():
+    # dense ids answer as retraining; gapped ids keep the known defect, so
+    # there the reference (leaf = item id) is what the tree must repeat
+    rng = random.Random(2718)
+    for _ in range(200):
+        fc = random_finite_class(rng, max_m=6, max_h=16)
+        dense = _labeled(rng, fc, rng.randint(1, 20))
+        gone = rng.sample(range(1, len(dense) + 1), rng.randint(1, len(dense)) - 1)
+        for data in (dense, dense.remove(gone)):
+            size, nodes = _reference_tree(fc, data.pairs())
+            realizable = is_realizable(fc, data)
+            erm = ErmMerkleScheme(fc)
+            for scheme, decode in (
+                (MerkleScheme(fc), mergeable_decode),
+                (erm, lambda fc, enc: min(vs_decode(fc, enc))),
+            ):
+                if max(data.ids(), default=0) > size:
+                    with pytest.raises(IndexError):
+                        scheme.learn(data)
+                    continue
+                if scheme is erm and not realizable:
+                    with pytest.raises(PreconditionError):
+                        scheme.learn(data)
+                    continue
+                answer, aux, tickets = scheme.learn(data)
+                assert answer == aux == decode(fc, nodes[1])
+                want = _reference_tickets(fc, data)
+                assert _leaves_and_siblings(tickets) == _leaves_and_siblings(want)
+                for i, t in tickets.items():
+                    assert scheme.ticket_bits(t) == count_bits(size - 1) + sum(
+                        enc.bits(fc.domain_size, scheme.encoding_cap) for enc in want[i].siblings
+                    )
+                ids = [i for i, _ in data.entries]
+                for _ in range(5):
+                    query = rng.sample(ids, rng.randint(1, min(4, len(ids))))
+                    entries = data.entries_for(query)
+                    got = scheme.unlearn(entries, aux, {i: tickets[i] for i in query})
+                    assert got == decode(fc, _reference_fold(fc, size, nodes, query))
+                    if data is dense:
+                        survivors = data.remove(query)
+                        retrained = erm_lexmin if scheme is erm else is_realizable
+                        assert got == retrained(fc, survivors)
 
 
 def _labeled(rng, fc, n):
@@ -220,22 +280,22 @@ def test_merkle_learn_masks_each_distinct_pair_once():
     entries = data.entries_for([3, 77, 150, 299])
     assert scheme.unlearn(entries, aux, tickets) is False
     assert fc.calls == 0
-    # on realizable survivors that one question is one mask
+    # on realizable survivors the answer is the AND of the sibling masks
     clean = Dataset.from_pairs((x, fc.hypotheses[5][x]) for x, _ in data.pairs())
     _, aux, tickets = scheme.learn(clean)
     fc.calls = 0
     assert scheme.unlearn(clean.entries_for([3, 77, 150, 299]), aux, tickets) is True
-    assert fc.calls == 1
+    assert fc.calls == 0
 
 
-def test_erm_learn_masks_each_distinct_pair_once_and_decodes_the_root():
+def test_erm_learn_masks_each_distinct_pair_once_and_answers_from_the_root_mask():
     fc, _ = _counting_setup()
     row = fc.hypotheses[5]
     data = Dataset.from_pairs((x % 8, row[x % 8]) for x in range(300))
     scheme = ErmMerkleScheme(fc)
     fc.calls = 0
     _, aux, tickets = scheme.learn(data)
-    assert fc.calls == len(data.distinct_pairs()) + 1 == 9
+    assert fc.calls == len(data.distinct_pairs()) == 8
 
 
 class _CountingOracle:
@@ -259,7 +319,7 @@ def test_merkle_on_an_oracle_learns_as_before_and_unlearns_in_one_call():
     assert oracle.calls == 1
 
 
-def test_erm_unlearn_makes_one_mask_call():
+def test_erm_unlearn_makes_no_mask_call():
     fc, _ = _counting_setup()
     row = fc.hypotheses[5]
     data = Dataset.from_pairs((x % 8, row[x % 8]) for x in range(300))
@@ -268,7 +328,19 @@ def test_erm_unlearn_makes_one_mask_call():
     for ids in ([1], [8, 16], [3, 77, 150, 299]):
         fc.calls = 0
         assert scheme.unlearn(data.entries_for(ids), aux, tickets) == answer
-        assert fc.calls == 1
+        assert fc.calls == 0
+
+
+def test_ticket_lookup_and_unlearn_neither_mask_nor_canonicalise():
+    fc, noisy = _counting_setup()
+    clean = Dataset.from_pairs((x, fc.hypotheses[5][x]) for x, _ in noisy.pairs())
+    for scheme, data in ((MerkleScheme(fc), noisy), (ErmMerkleScheme(fc), clean)):
+        _, aux, tickets = scheme.learn(data)
+        fc.calls, cached = 0, len(fc._canon_cache)
+        for ids in ([1], [2, 3], [3, 77, 150, 299], list(range(1, 301, 7))):
+            entries = data.entries_for(ids)
+            scheme.unlearn(entries, aux, {i: tickets[i] for i in ids})
+        assert fc.calls == 0 and len(fc._canon_cache) == cached
 
 
 class _RecordingOracle(_CountingOracle):

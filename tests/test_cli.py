@@ -544,6 +544,34 @@ def test_lb_demo_params_must_be_an_object_of_integers(capsys, params):
     assert code == 2 and out == "" and "--params" in err
 
 
+def test_lb_demo_rejects_a_misspelt_params_key(capsys):
+    params = '{"bta": "1/3", "m": 3}'
+    code, out, err = _run(capsys, ["lb", "demo", "--instance", "vclb", "--params", params])
+    assert code == 2 and out == "" and "--params key 'bta'" in err and "'vclb'" in err
+
+
+def test_lb_demo_rejects_a_params_key_the_instance_does_not_read(capsys):
+    params = '{"beta": "1/3", "d": 2, "k": 1}'
+    code, out, err = _run(capsys, ["lb", "demo", "--instance", "halfspace", "--params", params])
+    assert code == 2 and out == "" and "--params key 'beta'" in err and "'halfspace'" in err
+
+
+def test_lb_demo_checks_the_type_of_a_params_key_its_instance_reads(capsys):
+    params = '{"m": 3, "n": true}'
+    code, out, err = _run(capsys, ["lb", "demo", "--instance", "eluder", "--params", params])
+    assert code == 2 and out == "" and "--params" in err and "'n'" in err and "not read" not in err
+
+
+@pytest.mark.parametrize("instance, params", [
+    ("eluder", '{"m": 3, "n": 4}'), ("erm-whitebox", '{"m": 3, "n": 4}'),
+    ("shatter", '{"m": 2}')])
+def test_lb_demo_accepts_every_params_key_its_instance_reads(capsys, instance, params):
+    scheme = "trivial-erm" if instance == "erm-whitebox" else "trivial"
+    argv = ["lb", "demo", "--instance", instance, "--params", params, "--scheme", scheme]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and json.loads(out)["exact"]
+
+
 @pytest.mark.parametrize("beta", ['true', '0.5', '"abc"', '[1]', '"1/0"'])
 def test_lb_demo_beta_must_be_an_integer_or_a_rational_string(capsys, beta):
     params = f'{{"beta": {beta}, "m": 3}}'

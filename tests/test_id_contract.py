@@ -9,6 +9,7 @@ on such datasets only.
 
 import ast
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,6 @@ from unlearn_lab import (
     Dataset,
     ErmMerkleScheme,
     MerkleScheme,
-    Ticket,
     TicketError,
     TrivialErmScheme,
     TrivialScheme,
@@ -155,7 +155,7 @@ def tree():
 
 def test_fold_rejects_tickets_of_different_depths(tree):
     scheme, data, aux, tickets = tree
-    short = Ticket(2, tickets[2].siblings[1:])
+    short = replace(tickets[2], states=tickets[2].states[1:])
     with pytest.raises(TicketError, match="depth"):
         scheme.unlearn(data.entries_for([1, 2]), aux, {1: tickets[1], 2: short})
 
@@ -163,7 +163,7 @@ def test_fold_rejects_tickets_of_different_depths(tree):
 @pytest.mark.parametrize("leaf", [0, 5])
 def test_fold_rejects_a_leaf_outside_the_tree(tree, leaf):
     scheme, data, aux, tickets = tree
-    bad = Ticket(leaf, tickets[1].siblings)
+    bad = replace(tickets[1], leaf=leaf)
     with pytest.raises(TicketError, match="outside"):
         scheme.unlearn(data.entries_for([1]), aux, {1: bad})
 

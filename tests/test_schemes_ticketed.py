@@ -2,6 +2,7 @@
 exact equivalence with retraining."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -84,8 +85,9 @@ def test_merkle_fold_equals_survivor_encoding(thr4):
     scheme = MerkleScheme(thr4)
     data = Dataset.from_pairs([(i % 4, 1) for i in range(8)])
     _, aux, tickets = scheme.learn(data)
-    support = scheme._survivor_support(data.entries_for([5]), tickets)
-    assert vs_encode(thr4, support) == vs_encode(thr4, data.remove([5]))
+    space = scheme._survivor_space(data.entries_for([5]), tickets)
+    assert space == thr4.vs_mask(data.remove([5]).distinct_pairs())
+    assert scheme.states.encode(space) == vs_encode(thr4, data.remove([5]))
 
 
 def test_tree_nodes_are_merges_of_children():
@@ -95,7 +97,7 @@ def test_tree_nodes_are_merges_of_children():
         data = _random_dataset(rng, fc.domain_size, 9)
         scheme = MerkleScheme(fc)
         root, tickets = scheme._learn_tree(data)
-        assert root == vs_encode(fc, data)
+        assert scheme.states.encode(root) == vs_encode(fc, data)
         for item_id, t in tickets.items():
             # each recorded sibling encodes exactly its subtree's items
             size = 1 << len(t.siblings)
@@ -141,13 +143,11 @@ def test_merkle_missing_ticket_raises(thr4):
 
 
 def test_merkle_inconsistent_tickets_raise(thr4):
-    from unlearn_lab import Ticket
-
     scheme = MerkleScheme(thr4)
     data = Dataset.from_pairs([(0, 1), (1, 1), (2, 1), (3, 1)])
     _, aux, tickets = scheme.learn(data)
-    # tickets 1 and 2 both carry the right subtree's encoding; forge one copy
-    forged = Ticket(2, (vs_encode(thr4, [(0, 0)]),) + tickets[2].siblings[1:])
+    # tickets 1 and 2 both carry the right subtree's state; forge one copy
+    forged = replace(tickets[2], states=(thr4.vs_mask([(0, 0)]),) + tickets[2].states[1:])
     with pytest.raises(TicketError):
         scheme.unlearn(data.entries_for([1, 2]), aux, {1: tickets[1], 2: forged})
 
