@@ -10,16 +10,19 @@ need an explicit hypothesis list.
 Every search takes a cap of at least 0 and returns the CAP_EXCEEDED
 sentinel when a witness of size cap+1 exists. On a finite class the
 searches are exact at their default caps; with m=12 points and |H|=64
-hypotheses `compute_dims` takes about half a second (Python 3.11 on a
-2-vCPU virtual machine). The hollow search tries every labeled support
-larger than the answer, so its cost grows as 3^m and sets the limit of
-that scale.
+hypotheses `compute_dims` takes about 0.4 s (Python 3.11 on a 2-vCPU
+virtual machine), most of it in the star, eluder and Littlestone
+searches. The hollow and identification searches skip only point
+prefixes that provably cannot be completed, so they return the witness
+a full enumeration would return first. Every recursive search is a
+module-level function that takes its memo or lattice as arguments, so a
+search leaves no reference cycle behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable
 
 from .core import ClassHandle, FiniteClass, Pair, _check_pair, is_realizable
@@ -76,27 +79,31 @@ def _memoized(handle: ClassHandle):
     return ok
 
 
-def _tables(lat: _Lattice, size: int):
+def _tables(lat: _Lattice, size: int, keep=None):
     """Every size-point combination in lexicographic order, with the states
     of its 2^size labelings.
 
     Labeling `lab` gives the i-th point the label in bit size-1-i of
     `lab`, so a table runs in `product((0, 1), repeat=size)` order and
     flipping the i-th label is `lab ^ (1 << (size-1-i))`. Combinations
-    that share a prefix share the prefix's table.
+    that share a prefix share the prefix's table. If given, `keep(lat,
+    table)` is asked of every proper non-empty prefix's table, and the
+    combinations extending a prefix it rejects are skipped.
     """
-    m, meet, pairs = lat.m, lat.meet, lat.pairs
+    return _grow(lat, size, keep, 0, (), [lat.top])
 
-    def grow(start: int, points: tuple[int, ...], table: list):
-        if len(points) == size:
-            yield points, table
-            return
-        for x in range(start, m - size + len(points) + 1):
-            s0, s1 = pairs[x]
-            grown = [t for s in table for t in (meet(s, s0), meet(s, s1))]
-            yield from grow(x + 1, points + (x,), grown)
 
-    return grow(0, (), [lat.top])
+def _grow(lat: _Lattice, size: int, keep, start: int, points: tuple[int, ...], table: list):
+    if len(points) == size:
+        yield points, table
+        return
+    if points and keep is not None and not keep(lat, table):
+        return
+    meet = lat.meet
+    for x in range(start, lat.m - size + len(points) + 1):
+        s0, s1 = lat.pairs[x]
+        grown = [t for s in table for t in (meet(s, s0), meet(s, s1))]
+        yield from _grow(lat, size, keep, x + 1, points + (x,), grown)
 
 
 class _CapHit(Exception):
@@ -119,47 +126,50 @@ def _vc_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[int, ...]]:
 def _star_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...]]:
     # Star sets are downward closed under removing a pair, so DFS over
     # point-sorted extensions with the full property check is exhaustive.
-    # Along the DFS, flips[i] is the state of the current set with its
-    # i-th label flipped; adding a pair meets each with it.
-    meet, ok, pairs = lat.meet, lat.ok, lat.pairs
-    best: tuple[int, tuple[Pair, ...]] = (0, ())
-
-    def grown_flips(state, flips: list, x: int, y: int) -> list | None:
-        p = pairs[x][y]
-        out = []
-        for f in flips:
-            f = meet(f, p)
-            if not ok(f):
-                return None
-            out.append(f)
-        last = meet(state, pairs[x][1 - y])
-        if not ok(last):
-            return None
-        out.append(last)
-        return out
-
-    def extend(cand: tuple[Pair, ...], state, flips: list, next_x: int):
-        nonlocal best
-        for x in range(next_x, lat.m):
-            for y in (0, 1):
-                grown = meet(state, pairs[x][y])
-                if not ok(grown):
-                    continue
-                grown_f = grown_flips(state, flips, x, y)
-                if grown_f is None:
-                    continue
-                star = cand + ((x, y),)
-                if len(star) == cap + 1:
-                    raise _CapHit(star)
-                if len(star) > best[0]:
-                    best = (len(star), star)
-                extend(star, grown, grown_f, x + 1)
-
     try:
-        extend((), lat.top, [], 0)
+        best = _star_extend(lat, cap, (0, ()), (), lat.top, [], 0)
     except _CapHit as hit:
         return CAP_EXCEEDED, hit.witness
     return best[0], best[1]
+
+
+def _star_extend(
+    lat: _Lattice, cap: int, best: tuple, cand: tuple[Pair, ...], state, flips: list, next_x: int
+) -> tuple:
+    # Along the DFS, flips[i] is the state of the current set with its
+    # i-th label flipped; adding a pair meets each with it. Returns the
+    # largest star set found so far as (size, set).
+    meet, ok, pairs = lat.meet, lat.ok, lat.pairs
+    for x in range(next_x, lat.m):
+        for y in (0, 1):
+            grown = meet(state, pairs[x][y])
+            if not ok(grown):
+                continue
+            grown_f = _grown_flips(lat, state, flips, x, y)
+            if grown_f is None:
+                continue
+            star = cand + ((x, y),)
+            if len(star) == cap + 1:
+                raise _CapHit(star)
+            if len(star) > best[0]:
+                best = (len(star), star)
+            best = _star_extend(lat, cap, best, star, grown, grown_f, x + 1)
+    return best
+
+
+def _grown_flips(lat: _Lattice, state, flips: list, x: int, y: int) -> list | None:
+    meet, ok, p = lat.meet, lat.ok, lat.pairs[x][y]
+    out = []
+    for f in flips:
+        f = meet(f, p)
+        if not ok(f):
+            return None
+        out.append(f)
+    last = meet(state, lat.pairs[x][1 - y])
+    if not ok(last):
+        return None
+    out.append(last)
+    return out
 
 
 def _find_hollow(lat: _Lattice, size: int) -> tuple[Pair, ...] | None:
@@ -167,17 +177,35 @@ def _find_hollow(lat: _Lattice, size: int) -> tuple[Pair, ...] | None:
     # further pair keeps it unrealizable under flips, so such sets only
     # qualify at size exactly 2, when both singletons are realizable.
     # Larger candidates have distinct points.
+    #
+    # Prefix rule: a prefix of j points (0 < j < size) is dropped unless
+    # some labeling q of it has q and all j of its one-label flips
+    # realizable. This drops no hollow set: if labeling L of the whole set
+    # is hollow and q is L on the prefix, then q lies inside the flip of L
+    # at a point outside the prefix (one exists, as j < size), and the flip
+    # of q at a prefix point inside the flip of L there; each such flip of
+    # L is realizable, and so is every subset of a realizable support. The
+    # survivors keep their lexicographic order, so the first witness found
+    # is the one the full enumeration finds.
     ok = lat.ok
     if size == 2:
         for x, (s0, s1) in enumerate(lat.pairs):
             if ok(s0) and ok(s1):
                 return ((x, 0), (x, 1))
     flips = [1 << i for i in range(size)]
-    for points, table in _tables(lat, size):
+    for points, table in _tables(lat, size, _star_labeled):
         for lab, state in enumerate(table):
             if not ok(state) and all(ok(table[lab ^ f]) for f in flips):
                 return tuple((x, lab >> (size - 1 - i) & 1) for i, x in enumerate(points))
     return None
+
+
+def _star_labeled(lat: _Lattice, table: list) -> bool:
+    """Whether some labeling in `table` is realizable together with each of
+    its one-label flips."""
+    ok = lat.ok
+    flips = [1 << i for i in range(len(table).bit_length() - 1)]
+    return any(ok(s) and all(ok(table[q ^ f]) for f in flips) for q, s in enumerate(table))
 
 
 def _hollow_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...] | None]:
@@ -191,29 +219,8 @@ def _hollow_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...] 
 
 
 def _eluder_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...]]:
-    # Longest extension depth from a realizable constraint support. Which
-    # points are ambiguous depends only on the state, so the memo is keyed
-    # on it. No point can recur in a sequence (once constrained, it is
-    # never ambiguous again), so depth <= m.
-    meet, ok, pairs = lat.meet, lat.ok, lat.pairs
     memo: dict[object, tuple[int, Pair | None]] = {}
-
-    def depth(state) -> tuple[int, Pair | None]:
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        best, move = 0, None
-        for x, (p0, p1) in enumerate(pairs):
-            s0 = meet(state, p0)
-            if ok(s0) and ok(s1 := meet(state, p1)):
-                for y, child in ((0, s0), (1, s1)):
-                    d, _ = depth(child)
-                    if 1 + d > best:
-                        best, move = 1 + d, (x, y)
-        memo[state] = (best, move)
-        return best, move
-
-    total, _ = depth(lat.top)
+    total, _ = _eluder_depth(lat, memo, lat.top)
     seq: list[Pair] = []
     state = lat.top
     while True:
@@ -221,44 +228,65 @@ def _eluder_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...]]
         if move is None:
             break
         seq.append(move)
-        state = meet(state, pairs[move[0]][move[1]])
+        state = lat.meet(state, lat.pairs[move[0]][move[1]])
     witness = tuple(seq)
     if total > cap:
         return CAP_EXCEEDED, witness[: cap + 1]
     return total, witness
 
 
+def _eluder_depth(lat: _Lattice, memo: dict, state) -> tuple[int, Pair | None]:
+    # Longest extension depth from a realizable constraint support. Which
+    # points are ambiguous depends only on the state, so the memo is keyed
+    # on it. No point can recur in a sequence (once constrained, it is
+    # never ambiguous again), so depth <= m.
+    hit = memo.get(state)
+    if hit is not None:
+        return hit
+    meet, ok = lat.meet, lat.ok
+    best, move = 0, None
+    for x, (p0, p1) in enumerate(lat.pairs):
+        s0 = meet(state, p0)
+        if ok(s0) and ok(s1 := meet(state, p1)):
+            for y, child in ((0, s0), (1, s1)):
+                d, _ = _eluder_depth(lat, memo, child)
+                if 1 + d > best:
+                    best, move = 1 + d, (x, y)
+    memo[state] = (best, move)
+    return best, move
+
+
 def _littlestone(fc: FiniteClass) -> tuple[int, object]:
     memo: dict[int, tuple[int, int | None]] = {}
+    value, _ = _ldim(fc, memo, fc.full_mask)
+    return value, _ltree(fc, memo, fc.full_mask, value)
 
-    def ldim(mask: int) -> tuple[int, int | None]:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        best, pick = 0, None
-        for x in range(fc.domain_size):
-            m0 = mask & fc.pair_mask(x, 0)
-            m1 = mask & fc.pair_mask(x, 1)
-            if m0 and m1:
-                cand = 1 + min(ldim(m0)[0], ldim(m1)[0])
-                if cand > best:
-                    best, pick = cand, x
-        memo[mask] = (best, pick)
-        return best, pick
 
-    value, _ = ldim(fc.full_mask)
+def _ldim(fc: FiniteClass, memo: dict, mask: int) -> tuple[int, int | None]:
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
+    best, pick = 0, None
+    for x in range(fc.domain_size):
+        m0 = mask & fc.pair_mask(x, 0)
+        m1 = mask & fc.pair_mask(x, 1)
+        if m0 and m1:
+            cand = 1 + min(_ldim(fc, memo, m0)[0], _ldim(fc, memo, m1)[0])
+            if cand > best:
+                best, pick = cand, x
+    memo[mask] = (best, pick)
+    return best, pick
 
-    def tree(mask: int, depth: int):
-        if depth == 0:
-            return None
-        for x in range(fc.domain_size):
-            m0 = mask & fc.pair_mask(x, 0)
-            m1 = mask & fc.pair_mask(x, 1)
-            if m0 and m1 and min(ldim(m0)[0], ldim(m1)[0]) >= depth - 1:
-                return (x, tree(m0, depth - 1), tree(m1, depth - 1))
-        raise AssertionError("no splitting point at positive remaining depth")
 
-    return value, tree(fc.full_mask, value)
+def _ltree(fc: FiniteClass, memo: dict, mask: int, depth: int):
+    if depth == 0:
+        return None
+    for x in range(fc.domain_size):
+        m0 = mask & fc.pair_mask(x, 0)
+        m1 = mask & fc.pair_mask(x, 1)
+        if m0 and m1 and min(_ldim(fc, memo, m0)[0], _ldim(fc, memo, m1)[0]) >= depth - 1:
+            return (x, _ltree(fc, memo, m0, depth - 1), _ltree(fc, memo, m1, depth - 1))
+    raise AssertionError("no splitting point at positive remaining depth")
 
 
 def littlestone_dimension(fc: FiniteClass) -> int:
@@ -266,13 +294,36 @@ def littlestone_dimension(fc: FiniteClass) -> int:
 
 
 def _mis_search(fc: FiniteClass) -> tuple[int, ...]:
+    # s points split the class into at most 2^s cells, so no set of fewer
+    # than log2 |H| points identifies it.
     n_h = len(fc.hypotheses)
-    for size in range(fc.domain_size + 1):
-        for points in combinations(range(fc.domain_size), size):
-            restrictions = {tuple(row[x] for x in points) for row in fc.hypotheses}
-            if len(restrictions) == n_h:
-                return points
+    for size in range((n_h - 1).bit_length(), fc.domain_size + 1):
+        found = _identify(fc, size, 0, (), [fc.full_mask])
+        if found is not None:
+            return found
     raise AssertionError("full domain always identifies a deduplicated class")
+
+
+def _identify(fc: FiniteClass, size: int, start: int, points: tuple[int, ...], cells: list[int]):
+    """The first size-point extension of `points` in lexicographic order
+    that identifies the class, or None.
+
+    `cells` are the non-empty hypothesis masks that agree on `points`.
+    Each further point at most doubles them, so a prefix with
+    len(cells) << (points left) < |H| is dropped.
+    """
+    n_h = len(fc.hypotheses)
+    if len(points) == size:
+        return points if len(cells) == n_h else None
+    if len(cells) << (size - len(points)) < n_h:
+        return None
+    for x in range(start, fc.domain_size - size + len(points) + 1):
+        p0, p1 = fc.pair_mask(x, 0), fc.pair_mask(x, 1)
+        split = [d for c in cells for d in (c & p0, c & p1) if d]
+        found = _identify(fc, size, x + 1, points + (x,), split)
+        if found is not None:
+            return found
+    return None
 
 
 def min_identification_set(fc: FiniteClass) -> tuple[int, ...]:
@@ -440,7 +491,7 @@ def compute_dims(
     eluder, eluder_w = _eluder_search(lat, caps["eluder"])
     if finite:
         ls, ls_tree = _littlestone(handle)
-        mis_w = _mis_search(handle)
+        mis_w = min_identification_set(handle)
         mis: int | None = len(mis_w)
     else:
         ls, ls_tree, mis_w, mis = None, None, None, None

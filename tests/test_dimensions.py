@@ -1,8 +1,10 @@
 """Dimension searches: frozen small-class values, witnesses, and inequalities."""
 
+import gc
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,12 +21,17 @@ from unlearn_lab import (
     min_identification_set,
     parity_class,
     random_finite_class,
+    simplex_face_domain,
     star_number,
     thresholds_1d,
     vc_dimension,
     vclb_instance,
 )
 from unlearn_lab.dimensions import (
+    _hollow_search,
+    _Lattice,
+    _mis_search,
+    _tables,
     verify_eluder_sequence,
     verify_hollow_star_set,
     verify_identification_set,
@@ -343,3 +350,95 @@ def test_random_m12_h64_witnesses_verify():
     assert verify_littlestone_tree(fc, w["littlestone"], rep.littlestone)
     assert len(w["mis"]) == rep.mis and verify_identification_set(fc, w["mis"])
     assert rep.vc <= rep.star <= rep.eluder <= len(fc.hypotheses) - 1
+
+
+def test_compute_dims_fills_the_identification_cache():
+    fc = thresholds_1d(4)
+    rep = compute_dims(fc)
+    assert fc._derived["mis"] == rep.witnesses["mis"]
+
+
+def test_searches_leave_no_reference_cycles():
+    # A search that leaves a cycle keeps its memo and class alive until a
+    # full collection runs.
+    pts = [tuple(Fraction(c) for c in p) for p in PINNED_HALFSPACE_POINTS]
+    cases = (
+        (thresholds_1d(8), None),
+        (parity_class(3), None),
+        (FiniteClass(8, _distinct_rows(2024, 8, 32)), None),
+        (HalfspaceOracle(pts), 4),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for handle, cap in cases:
+            compute_dims(handle, cap=cap)
+            assert gc.collect() == 0, handle
+    finally:
+        gc.enable()
+
+
+# References for the pruned searches: the exhaustive searches they replaced.
+
+
+def _reference_mis(fc):
+    """Every point set by size, comparing restriction tuples."""
+    for size in range(fc.domain_size + 1):
+        for points in combinations(range(fc.domain_size), size):
+            restrictions = {tuple(row[x] for x in points) for row in fc.hypotheses}
+            if len(restrictions) == len(fc.hypotheses):
+                return points
+    raise AssertionError("full domain always identifies a deduplicated class")
+
+
+def _reference_find_hollow(lat, size):
+    """Every labeled support of `size` pairs, with no prefix dropped."""
+    ok = lat.ok
+    if size == 2:
+        for x, (s0, s1) in enumerate(lat.pairs):
+            if ok(s0) and ok(s1):
+                return ((x, 0), (x, 1))
+    flips = [1 << i for i in range(size)]
+    for points, table in _tables(lat, size):
+        for lab, state in enumerate(table):
+            if not ok(state) and all(ok(table[lab ^ f]) for f in flips):
+                return tuple((x, lab >> (size - 1 - i) & 1) for i, x in enumerate(points))
+    return None
+
+
+def _reference_hollow(handle, cap):
+    lat = _Lattice(handle)
+    for size in range(cap + 1, 0, -1):
+        witness = _reference_find_hollow(lat, size)
+        if witness is not None:
+            return (CAP_EXCEEDED if size == cap + 1 else size), witness
+    return 0, None
+
+
+def _check_hollow_matches(handle, cap):
+    got = _hollow_search(_Lattice(handle), cap)
+    assert got == _reference_hollow(handle, cap), (handle, cap)
+    value, witness = got
+    if value == 0:
+        assert witness is None
+    else:
+        assert verify_hollow_star_set(handle, witness)
+        assert len(witness) == (cap + 1 if value == CAP_EXCEEDED else value)
+
+
+def test_pruned_searches_match_exhaustive_references():
+    rng = random.Random(25)
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        rows = _distinct_rows(rng.randrange(1 << 30), m, rng.randint(1, min(1 << m, 40)))
+        fc = FiniteClass(m, rows)
+        mis = _mis_search(fc)
+        assert mis == _reference_mis(fc) and verify_identification_set(fc, mis)
+        for cap in (m + 1, 0, 1, 2, 3):
+            _check_hollow_matches(fc, cap)
+    planar = [(0, 0), (3, 0), (0, 2), (2, 3), (1, 1)]
+    for points in (PINNED_HALFSPACE_POINTS, planar):
+        oracle = HalfspaceOracle([tuple(Fraction(c) for c in p) for p in points])
+        for cap in range(5):
+            _check_hollow_matches(oracle, cap)
+    _check_hollow_matches(HalfspaceOracle(simplex_face_domain(4, 2)), 3)

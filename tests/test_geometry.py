@@ -346,3 +346,16 @@ def test_bounded_learn_fm_solve_count_is_pinned(monkeypatch):
     assert answer is False and len(aux.critical_sets) == 2
     assert len(handle.seen) == 35
     assert state["solves"] == 31 < len(handle.seen)
+
+
+def test_capped_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
+    # Pins the hollow search's dropping of point prefixes that no hollow
+    # set can extend, on the oracle path.
+    from unlearn_lab import CAP_EXCEEDED
+    from unlearn_lab.report import scheme_bound
+
+    state = _count_fm_solves(monkeypatch)
+    oracle = HalfspaceOracle(simplex_face_domain(4, 2))
+    budget = scheme_bound("bounded", oracle, 10, k=2, dim_cap=3)
+    assert budget["bits"] is None and budget["dims"] == {"hollow_star": CAP_EXCEEDED}
+    assert state["solves"] == 270
