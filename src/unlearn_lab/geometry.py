@@ -10,11 +10,12 @@ the back-substituted point is rational. Floating point never enters: the
 constructions of interest sit at margins around 1/d, where rounding
 would misclassify.
 
-HalfspaceOracle reuses answers across supports: a support is
-unrealizable if some one-pair-smaller subset is, and realizable if the
-stored separator of some one-pair-smaller subset also puts the missing
-pair strictly on its side. Such reused answers run no FM and so never
-reach the row cap.
+HalfspaceOracle indexes the labelings its separators give: each
+separator FM returns is recorded as the set of domain points strictly on
+either side of it, and a support that some recorded labeling agrees with
+is realizable without a solve. A support is also unrealizable if some
+one-pair-smaller subset is. Such answers run no FM and so never reach the
+row cap.
 """
 
 from __future__ import annotations
@@ -278,15 +279,18 @@ def halfspace_family_dataset(d: int, k: int, subsets: Iterable[Sequence[int]]) -
 class HalfspaceOracle:
     """Realizability oracle: strict separability over a fixed point list.
 
-    Answers are memoized per support. Each realizable support also keeps
-    an integer separator, and a support is first tried against its
-    one-pair-smaller subsets: if some subset is known unrealizable, so is
-    the support (a superset of an unrealizable set is unrealizable); if
-    the separator of some subset puts the missing pair strictly on its
-    side, the support is realizable with that separator. Only when
-    neither rule answers does Fourier-Motzkin run, so a reused answer
-    never reaches `row_cap`. Each point is converted to integers on its
-    first query.
+    Answers are memoized per support. Every separator Fourier-Motzkin
+    returns is checked in integers and then recorded as a labeling: the
+    points strictly on its label-1 side and those strictly on its label-0
+    side (points on the hyperplane are on neither). Labeling i sets bit i
+    of `_agree[2*x + y]` for every point x strictly on side y, so a support
+    is realizable if the AND of `_agree` over its pairs is non-zero: some
+    recorded separator puts every pair strictly on its side. Otherwise the
+    support is unrealizable if some one-pair-smaller subset is known to be
+    (a superset of an unrealizable set is unrealizable). Only when neither
+    rule answers does Fourier-Motzkin run, so an indexed answer never
+    reaches `row_cap`. Each point is converted to integers on its first
+    query.
     """
 
     def __init__(self, points: Sequence[Iterable], row_cap: int = DEFAULT_ROW_CAP):
@@ -300,9 +304,10 @@ class HalfspaceOracle:
         self.domain_size = len(pts)
         self.row_cap = row_cap
         self._memo: dict[frozenset[Pair], bool] = {}
-        # (w_0..w_{d-1}, b) scaled to integers, for every realizable support
-        self._separators: dict[frozenset[Pair], tuple[int, ...]] = {}
         self._rows: list[tuple | None] = [None] * len(pts)
+        # bit i of _agree[2*x + y]: labeling i puts point x strictly on side y
+        self._agree = [0] * (2 * len(pts))
+        self._labelings: set[tuple[int, ...]] = set()  # per point: 1, -1 or 0 on the hyperplane
 
     def _point_rows(self, x: int) -> tuple:
         """The margin-1 rows of point x under label 0 and label 1."""
@@ -312,14 +317,27 @@ class HalfspaceOracle:
             rows = self._rows[x] = (_margin_row(point, 0), _margin_row(point, 1))
         return rows
 
-    def _on_side(self, separator: tuple[int, ...], pair: Pair) -> bool:
-        """True if the separator puts the point strictly on the side of its label.
+    def _record(self, separator: tuple[int, ...]) -> None:
+        """Index the labeling of the domain by an integer separator (w, b).
 
-        That is when the point's row, coeffs . (w, b), is negative.
+        A point's label-0 row times the separator is negative when the
+        point is strictly on the label-0 side and positive when strictly
+        on the label-1 side; the label-1 row is its negation. The labeling
+        is the tuple of those signs, 0 for a point on the hyperplane.
         """
-        x, y = pair
-        coeffs, _ = self._point_rows(x)[y]
-        return sum(c * v for c, v in zip(coeffs, separator)) < 0
+        signs = []
+        for x in range(self.domain_size):
+            coeffs, _ = self._point_rows(x)[0]
+            side = sum(c * v for c, v in zip(coeffs, separator))
+            signs.append((side > 0) - (side < 0))
+        labeling = tuple(signs)
+        if labeling in self._labelings:
+            return
+        bit = 1 << len(self._labelings)
+        self._labelings.add(labeling)
+        for x, sign in enumerate(labeling):
+            if sign:
+                self._agree[2 * x + (sign > 0)] |= bit
 
     def is_realizable_pairs(self, pairs: Iterable[Pair]) -> bool:
         fs = frozenset((int(x), int(y)) for x, y in pairs)
@@ -333,14 +351,14 @@ class HalfspaceOracle:
         return result
 
     def _decide(self, fs: frozenset[Pair]) -> bool:
-        for pair in fs:
-            sub = fs - {pair}
-            if self._memo.get(sub) is False:
-                return False
-            separator = self._separators.get(sub)
-            if separator is not None and self._on_side(separator, pair):
-                self._separators[fs] = separator
-                return True
+        agree, common = self._agree, -1
+        for x, y in fs:
+            common &= agree[2 * x + y]
+        if common:
+            return True  # a recorded separator puts every pair strictly on its side
+        memo = self._memo
+        if any(memo.get(fs - {pair}) is False for pair in fs):
+            return False
         # points with equal coordinates have equal rows
         positives = {self._point_rows(x)[1] for x, y in fs if y}
         if any(self._point_rows(x)[1] in positives for x, y in fs if not y):
@@ -349,7 +367,7 @@ class HalfspaceOracle:
         found = _solve(rows, self.dim + 1, self.row_cap)
         if found is None:
             return False
-        self._separators[fs] = found[1]
+        self._record(found[1])
         return True
 
 

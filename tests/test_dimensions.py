@@ -130,14 +130,32 @@ def test_negative_caps_raise():
 
 def test_cap_zero_keeps_its_values():
     fc = thresholds_1d(4)
-    # the hollow search at cap 0 looks for one-pair sets only, so it reads 0
-    # on thresholds although their hollow star number is 2
-    assert [search(fc, cap=0) for search in SEARCHES] == [CAP_EXCEEDED, CAP_EXCEEDED, 0, CAP_EXCEEDED]
+    # thresholds have no one-pair hollow set but a two-pair one (hollow star
+    # number 2), so the hollow search at cap 0 reads the sentinel, not 0
+    assert [search(fc, cap=0) for search in SEARCHES] == [CAP_EXCEEDED] * 4
     rep = compute_dims(fc, cap=0)
-    assert (rep.vc, rep.star, rep.hollow_star, rep.eluder) == (CAP_EXCEEDED, CAP_EXCEEDED, 0, CAP_EXCEEDED)
+    assert (rep.vc, rep.star, rep.hollow_star, rep.eluder) == (CAP_EXCEEDED,) * 4
     assert rep.caps == dict.fromkeys(("vc", "star", "hollow_star", "eluder"), 0)
-    assert scheme_bound("bounded", fc, 3, k=1, dim_cap=0)["bits"] == 1
+    assert scheme_bound("bounded", fc, 3, k=1, dim_cap=0)["bits"] is None
     assert scheme_bound("bounded", fc, 3, k=1)["bits"] == 21
+
+
+def test_capped_hollow_never_reads_below_the_true_number():
+    # hollow sets are not closed under taking smaller sizes, so a class may
+    # have none of cap+1 pairs and a larger one
+    rng = random.Random(5)
+    capped = 0
+    for _ in range(300):
+        fc = random_finite_class(rng, 5, 10)
+        true = hollow_star_number(fc)
+        for cap in (0, 2):
+            got = hollow_star_number(fc, cap=cap)
+            if true > cap:
+                assert got == CAP_EXCEEDED, (fc.hypotheses, cap)
+                capped += 1
+            else:
+                assert got == true, (fc.hypotheses, cap)
+    assert capped > 0
 
 
 def test_halfspace_1d_hollow_star_is_three():
@@ -407,11 +425,17 @@ def _reference_find_hollow(lat, size):
 
 
 def _reference_hollow(handle, cap):
+    """Every size above the cap, smallest first, then every size within it, largest first."""
     lat = _Lattice(handle)
-    for size in range(cap + 1, 0, -1):
+    largest = max(handle.domain_size, 2)
+    for size in range(cap + 1, largest + 1):
         witness = _reference_find_hollow(lat, size)
         if witness is not None:
-            return (CAP_EXCEEDED if size == cap + 1 else size), witness
+            return CAP_EXCEEDED, witness
+    for size in range(min(cap, largest), 0, -1):
+        witness = _reference_find_hollow(lat, size)
+        if witness is not None:
+            return size, witness
     return 0, None
 
 
@@ -423,7 +447,7 @@ def _check_hollow_matches(handle, cap):
         assert witness is None
     else:
         assert verify_hollow_star_set(handle, witness)
-        assert len(witness) == (cap + 1 if value == CAP_EXCEEDED else value)
+        assert len(witness) > cap if value == CAP_EXCEEDED else len(witness) == value
 
 
 def test_pruned_searches_match_exhaustive_references():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -320,7 +320,7 @@ def test_oracle_reuse_matches_bruteforce_on_walks(monkeypatch, d):
             neg = [pts[x] for x, y in fs if not y]
             assert got == separable_bruteforce(pos, neg)
             if fs not in seen and state["solves"] == before:
-                reused[got] += 1  # answered by a subset, without a solve
+                reused[got] += 1  # answered by the index or a subset, without a solve
             seen.add(fs)
     assert reused[True] > 0 and reused[False] > 0
 
@@ -345,7 +345,7 @@ def test_bounded_learn_fm_solve_count_is_pinned(monkeypatch):
     answer, aux = BoundedDeletionScheme(handle, 2).learn(inst.dataset_of((1, 0, 1, 1, 0, 1)))
     assert answer is False and len(aux.critical_sets) == 2
     assert len(handle.seen) == 35
-    assert state["solves"] == 31 < len(handle.seen)
+    assert state["solves"] == 28 < len(handle.seen)
 
 
 def test_capped_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
@@ -358,4 +358,84 @@ def test_capped_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
     oracle = HalfspaceOracle(simplex_face_domain(4, 2))
     budget = scheme_bound("bounded", oracle, 10, k=2, dim_cap=3)
     assert budget["bits"] is None and budget["dims"] == {"hollow_star": CAP_EXCEEDED}
-    assert state["solves"] == 270
+    assert state["solves"] == 131
+
+
+def test_exact_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
+    # The hollow search to cap 5 on the simplex faces (d=4, k=2), which
+    # finds the number 5; about 0.4 s.
+    from unlearn_lab.report import scheme_bound
+
+    state = _count_fm_solves(monkeypatch)
+    oracle = HalfspaceOracle(simplex_face_domain(4, 2))
+    budget = scheme_bound("bounded", oracle, 10, k=2, dim_cap=5)
+    assert budget["dims"] == {"hollow_star": 5} and budget["bits"] == 1751
+    assert state["solves"] == 2264
+
+
+def _random_domain(rng, d, n):
+    """n rational points in d dimensions, some repeating an earlier point and
+    some on the line through two earlier points."""
+    pts = []
+    while len(pts) < n:
+        roll = rng.random()
+        if pts and roll < 0.2:
+            pts.append(rng.choice(pts))
+        elif len(pts) >= 2 and roll < 0.45:
+            p, q = rng.sample(pts, 2)
+            t = Fraction(rng.randint(-3, 4), 2)
+            pts.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+        else:
+            pts.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)))
+    return pts
+
+
+def test_labeling_index_matches_bruteforce_on_every_support(monkeypatch):
+    # Every labeled support of each domain, asked in shuffled order, so the
+    # index answers supports whose subsets were asked in any order or not
+    # at all. Duplicate and collinear points put points on the separators'
+    # hyperplanes, where a point is on neither side.
+    state = _count_fm_solves(monkeypatch)
+    rng = random.Random(66)
+    indexed = on_hyperplane = 0
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        n = rng.randint(3, 6 if d < 3 else 5)
+        pts = _random_domain(rng, d, n)
+        supports = [
+            frozenset((x, y) for x, y in enumerate(labels) if y is not None)
+            for labels in product((None, 0, 1), repeat=n)
+        ]
+        # separable_bruteforce on supports of at most d+2 pairs; a larger
+        # support is separable exactly when its one-pair-smaller subsets are
+        # (Caratheodory in the lifted d+1 dimensions)
+        expected: dict = {}
+        for fs in sorted(supports, key=len):
+            if any(expected[fs - {pair}] is False for pair in fs):
+                expected[fs] = False
+            elif len(fs) <= d + 2:
+                pos = [pts[x] for x, y in fs if y]
+                neg = [pts[x] for x, y in fs if not y]
+                expected[fs] = separable_bruteforce(pos, neg)
+            else:
+                expected[fs] = True
+        oracle = HalfspaceOracle(pts)
+        rng.shuffle(supports)
+        for fs in supports:
+            before = state["solves"]
+            got = oracle.is_realizable_pairs(fs)
+            assert got == expected[fs], (pts, sorted(fs))
+            indexed += got and state["solves"] == before
+        on_hyperplane += sum(0 in labeling for labeling in oracle._labelings)
+    assert indexed > 0 and on_hyperplane > 0
+
+
+def test_labeling_index_answers_without_asking_subsets(monkeypatch):
+    state = _count_fm_solves(monkeypatch)
+    oracle = HalfspaceOracle([(0, 0), (1, 0), (2, 1), (3, 1)])
+    assert oracle.is_realizable_pairs([(0, 0), (1, 0), (2, 1), (3, 1)])
+    assert state["solves"] == 1
+    support = frozenset({(0, 0), (3, 1)})
+    assert oracle.is_realizable_pairs(support)  # its subsets were never asked
+    assert all(support - {pair} not in oracle._memo for pair in support)
+    assert state["solves"] == 1
