@@ -15,7 +15,6 @@ from .core import (
     erm_lexmin,
     is_realizable,
     pair_bits,
-    remove,
     version_space,
 )
 from .dimensions import (

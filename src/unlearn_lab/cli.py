@@ -65,8 +65,6 @@ def _cmd_dims(args) -> int:
     rep = compute_dims(handle, cap=args.cap, witnesses=args.witness)
     doc = {"v": 1, "class": desc}
     doc.update(rep.to_json_dict())
-    if not args.witness:
-        doc.pop("witnesses", None)
     _emit(doc, args.out)
     return 0
 

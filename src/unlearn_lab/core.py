@@ -292,10 +292,6 @@ def version_space(fc: FiniteClass, data: Dataset | Iterable[Pair]) -> frozenset[
     return fc.mask_to_indices(fc.vs_mask(support_pairs(data)))
 
 
-def remove(data: Dataset, indices: Iterable[int]) -> Dataset:
-    return data.remove(indices)
-
-
 def erm_lexmin(fc: FiniteClass, data: Dataset | Iterable[Pair]) -> int:
     """Smallest hypothesis index among 0-1-loss minimizers.
 

@@ -2,23 +2,25 @@
 
 Computes VC dimension, Littlestone dimension, star number, hollow star
 number, eluder dimension, and the minimum identification set, each with a
-witness that the matching verifier accepts. VC, star, hollow star and
-eluder run on one search engine over the support lattice (`_Lattice`) and
-so over any realizability oracle; Littlestone and the identification set
-need an explicit hypothesis list.
+witness that the matching verifier accepts. VC, star, hollow star,
+eluder and Littlestone run on one search engine over the support lattice
+(`_Lattice`) and so over any realizability oracle; eluder and Littlestone
+share one split recursion and its memo. Only the identification set needs
+an explicit hypothesis list.
 
-Every search takes a cap of at least 0 and returns the CAP_EXCEEDED
-sentinel when a witness larger than the cap exists: of size cap+1 for
-the downward-closed VC, star and eluder searches, of the smallest size
-above the cap that has one for the hollow search. On a finite class the
-searches are exact at their default caps; with m=12 points and |H|=64
-hypotheses `compute_dims` takes about 0.4 s (Python 3.11 on a 2-vCPU
-virtual machine), most of it in the star, eluder and Littlestone
-searches. The hollow and identification searches skip only point
-prefixes that provably cannot be completed, so they return the witness
-a full enumeration would return first. Every recursive search is a
-module-level function that takes its memo or lattice as arguments, so a
-search leaves no reference cycle behind.
+Every search but Littlestone's takes a cap of at least 0 and returns the
+CAP_EXCEEDED sentinel when a witness larger than the cap exists: of size
+cap+1 for the downward-closed VC, star and eluder searches, of the
+smallest size above the cap that has one for the hollow search. The
+split recursion always runs to the end, so Littlestone is exact on every
+handle. On a finite class the searches are exact at their default caps;
+with m=12 points and |H|=64 hypotheses `compute_dims` takes about 0.3 s
+(Python 3.11 on a 2-vCPU virtual machine), most of it in the star search
+and the split recursion. The hollow and identification searches skip
+only point prefixes that provably cannot be completed, so they return
+the witness a full enumeration would return first. Every recursive
+search is a module-level function that takes its memo or lattice as
+arguments, so a search leaves no reference cycle behind.
 """
 
 from __future__ import annotations
@@ -228,79 +230,60 @@ def _hollow_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...] 
     return 0, None
 
 
-def _eluder_search(lat: _Lattice, cap: int) -> tuple[DimValue, tuple[Pair, ...]]:
-    memo: dict[object, tuple[int, Pair | None]] = {}
-    total, _ = _eluder_depth(lat, memo, lat.top)
+def _split_search(lat: _Lattice, cap: int) -> tuple[tuple, tuple]:
+    """(eluder value, sequence) within `cap` and (Littlestone value, tree),
+    both read from one memo of `_split_depths`."""
+    memo: dict[object, tuple[int, Pair | None, int]] = {}
+    total, _, ldim = _split_depths(lat, memo, lat.top)
     seq: list[Pair] = []
     state = lat.top
-    while True:
-        _, move = memo[state]
-        if move is None:
-            break
+    while (move := memo[state][1]) is not None:
         seq.append(move)
         state = lat.meet(state, lat.pairs[move[0]][move[1]])
     witness = tuple(seq)
-    if total > cap:
-        return CAP_EXCEEDED, witness[: cap + 1]
-    return total, witness
+    eluder = (CAP_EXCEEDED, witness[: cap + 1]) if total > cap else (total, witness)
+    return eluder, (ldim, _littlestone_tree(lat, memo, lat.top, ldim))
 
 
-def _eluder_depth(lat: _Lattice, memo: dict, state) -> tuple[int, Pair | None]:
-    # Longest extension depth from a realizable constraint support. Which
-    # points are ambiguous depends only on the state, so the memo is keyed
-    # on it. No point can recur in a sequence (once constrained, it is
-    # never ambiguous again), so depth <= m.
+def _split_depths(lat: _Lattice, memo: dict, state) -> tuple[int, Pair | None, int]:
+    # Eluder depth, its first deepest move, and Littlestone depth below a
+    # realizable state. Both split the state at every point whose two
+    # labels are still realizable; eluder takes 1 + the deeper child, and
+    # Littlestone 1 + the shallower. Which points split depends only on the
+    # state, so the memo is keyed on it. No point can recur along a path
+    # (once constrained, it never splits again), so both depths are <= m.
     hit = memo.get(state)
     if hit is not None:
         return hit
     meet, ok = lat.meet, lat.ok
-    best, move = 0, None
+    best, move, ldim = 0, None, 0
     for x, (p0, p1) in enumerate(lat.pairs):
         s0 = meet(state, p0)
         if ok(s0) and ok(s1 := meet(state, p1)):
-            for y, child in ((0, s0), (1, s1)):
-                d, _ = _eluder_depth(lat, memo, child)
-                if 1 + d > best:
-                    best, move = 1 + d, (x, y)
-    memo[state] = (best, move)
-    return best, move
+            e0, _, l0 = _split_depths(lat, memo, s0)
+            e1, _, l1 = _split_depths(lat, memo, s1)
+            if 1 + e0 > best:
+                best, move = 1 + e0, (x, 0)
+            if 1 + e1 > best:
+                best, move = 1 + e1, (x, 1)
+            ldim = max(ldim, 1 + min(l0, l1))
+    hit = memo[state] = (best, move, ldim)
+    return hit
 
 
-def _littlestone(fc: FiniteClass) -> tuple[int, object]:
-    memo: dict[int, tuple[int, int | None]] = {}
-    value, _ = _ldim(fc, memo, fc.full_mask)
-    return value, _ltree(fc, memo, fc.full_mask, value)
-
-
-def _ldim(fc: FiniteClass, memo: dict, mask: int) -> tuple[int, int | None]:
-    hit = memo.get(mask)
-    if hit is not None:
-        return hit
-    best, pick = 0, None
-    for x in range(fc.domain_size):
-        m0 = mask & fc.pair_mask(x, 0)
-        m1 = mask & fc.pair_mask(x, 1)
-        if m0 and m1:
-            cand = 1 + min(_ldim(fc, memo, m0)[0], _ldim(fc, memo, m1)[0])
-            if cand > best:
-                best, pick = cand, x
-    memo[mask] = (best, pick)
-    return best, pick
-
-
-def _ltree(fc: FiniteClass, memo: dict, mask: int, depth: int):
+def _littlestone_tree(lat: _Lattice, memo: dict, state, depth: int):
+    # The first splitting point whose children both reach depth-1; every
+    # child asked here was asked by _split_depths, so an oracle sees no
+    # new support.
     if depth == 0:
         return None
-    for x in range(fc.domain_size):
-        m0 = mask & fc.pair_mask(x, 0)
-        m1 = mask & fc.pair_mask(x, 1)
-        if m0 and m1 and min(_ldim(fc, memo, m0)[0], _ldim(fc, memo, m1)[0]) >= depth - 1:
-            return (x, _ltree(fc, memo, m0, depth - 1), _ltree(fc, memo, m1, depth - 1))
+    meet, ok = lat.meet, lat.ok
+    for x, (p0, p1) in enumerate(lat.pairs):
+        s0, s1 = meet(state, p0), meet(state, p1)
+        if ok(s0) and ok(s1) and min(memo[s0][2], memo[s1][2]) >= depth - 1:
+            left = _littlestone_tree(lat, memo, s0, depth - 1)
+            return (x, left, _littlestone_tree(lat, memo, s1, depth - 1))
     raise AssertionError("no splitting point at positive remaining depth")
-
-
-def littlestone_dimension(fc: FiniteClass) -> int:
-    return _littlestone(fc)[0]
 
 
 def _mis_search(fc: FiniteClass) -> tuple[int, ...]:
@@ -373,7 +356,11 @@ def hollow_star_number(handle: ClassHandle, cap: int | None = None) -> DimValue:
 
 
 def eluder_dimension(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    return _eluder_search(_Lattice(handle), _caps(handle, cap)["eluder"])[0]
+    return _split_search(_Lattice(handle), _caps(handle, cap)["eluder"])[0][0]
+
+
+def littlestone_dimension(handle: ClassHandle) -> int:
+    return _split_search(_Lattice(handle), handle.domain_size)[1][0]
 
 
 # Witness verifiers. Each builds every support it needs explicitly and asks
@@ -425,20 +412,22 @@ def verify_identification_set(fc: FiniteClass, points: Iterable[int]) -> bool:
     return len(restrictions) == len(fc.hypotheses)
 
 
-def verify_littlestone_tree(fc: FiniteClass, tree: object, depth: int) -> bool:
+def verify_littlestone_tree(handle: ClassHandle, tree: object, depth: int) -> bool:
     """A complete depth-d tree all of whose branches are realizable."""
+    return _realizable_branches(handle, tree, frozenset(), depth)
 
-    def walk(node, pairs: frozenset[Pair], remaining: int) -> bool:
-        if remaining == 0:
-            return fc.vs_mask(pairs) != 0
-        if node is None:
-            return False
-        x, left, right = node
-        return walk(left, pairs | {(x, 0)}, remaining - 1) and walk(
-            right, pairs | {(x, 1)}, remaining - 1
-        )
 
-    return walk(tree, frozenset(), depth)
+def _realizable_branches(handle: ClassHandle, node, pairs: frozenset[Pair], remaining: int) -> bool:
+    if remaining == 0:
+        return is_realizable(handle, pairs)
+    if node is None:
+        return False
+    x, left, right = node
+    _check_pair((x, 0), handle.domain_size)
+    # both subtrees are walked, so a node outside the domain raises wherever it sits
+    left_ok = _realizable_branches(handle, left, pairs | {(x, 0)}, remaining - 1)
+    right_ok = _realizable_branches(handle, right, pairs | {(x, 1)}, remaining - 1)
+    return left_ok and right_ok
 
 
 @dataclass(frozen=True)
@@ -446,7 +435,7 @@ class DimReport:
     """All computed dimensions plus the certifying witnesses."""
 
     vc: DimValue
-    littlestone: int | None
+    littlestone: int
     star: DimValue
     hollow_star: DimValue
     eluder: DimValue
@@ -488,8 +477,9 @@ def compute_dims(
 
     For finite classes the default caps are the provable maxima, so the
     values are exact and the sentinel cannot appear. Oracle classes use
-    `cap` (default 6) for every search and skip Littlestone and the
-    identification set.
+    `cap` (default 6) for every capped search and skip only the
+    identification set, which needs the hypothesis list; Littlestone has
+    no cap and is exact on every handle.
     """
     lat = _Lattice(handle)
     finite = isinstance(handle, FiniteClass)
@@ -498,13 +488,9 @@ def compute_dims(
     vc, vc_w = _vc_search(lat, caps["vc"])
     star, star_w = _star_search(lat, caps["star"])
     hollow, hollow_w = _hollow_search(lat, caps["hollow_star"])
-    eluder, eluder_w = _eluder_search(lat, caps["eluder"])
-    if finite:
-        ls, ls_tree = _littlestone(handle)
-        mis_w = min_identification_set(handle)
-        mis: int | None = len(mis_w)
-    else:
-        ls, ls_tree, mis_w, mis = None, None, None, None
+    (eluder, eluder_w), (ls, ls_tree) = _split_search(lat, caps["eluder"])
+    mis_w = min_identification_set(handle) if finite else None
+    mis = None if mis_w is None else len(mis_w)
 
     wit = None
     if witnesses:

@@ -48,22 +48,21 @@ def scheme_bound(
         if k is None:
             raise ValueError("the bounded scheme budget needs k")
         hollow = hollow_star_number(handle, cap=dim_cap)
-        if hollow == CAP_EXCEEDED:
-            return {"name": "hollow^(k+1)*(k*z_bits+count_bits(n))+1", "bits": None,
-                    "dims": {"hollow_star": CAP_EXCEEDED}}
+        bits = None
+        if hollow != CAP_EXCEEDED:
+            bits = hollow ** (k + 1) * (k * z + count_bits(n)) + 1
         return {
             "name": "hollow^(k+1)*(k*z_bits+count_bits(n))+1",
-            "bits": hollow ** (k + 1) * (k * z + count_bits(n)) + 1,
+            "bits": bits,
             "dims": {"hollow_star": hollow},
         }
     if scheme in ("merkle", "erm-merkle"):
         cap = encoding_cap if encoding_cap is not None else 2 * m
         star = star_number(handle, cap=dim_cap)
-        if star == CAP_EXCEEDED:
-            return {"name": "(count_bits(cap)+star*z_bits)*log2(n)+count_bits(n-1)",
-                    "bits": None, "dims": {"star": CAP_EXCEEDED}}
-        depth = tree_depth(n)
-        bits = depth * (count_bits(cap) + star * z) + count_bits((1 << depth) - 1)
+        bits = None
+        if star != CAP_EXCEEDED:
+            depth = tree_depth(n)
+            bits = depth * (count_bits(cap) + star * z) + count_bits((1 << depth) - 1)
         return {
             "name": "(count_bits(cap)+star*z_bits)*log2(n)+count_bits(n-1)",
             "bits": bits,

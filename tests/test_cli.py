@@ -41,7 +41,7 @@ def test_dims_halfspace_class(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["hollow_star"] == 3
-    assert doc["littlestone"] is None and doc["mis"] is None
+    assert doc["littlestone"] == 3 and doc["mis"] is None
 
 
 def test_dims_witness_flag(thr4_file, capsys):

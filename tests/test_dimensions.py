@@ -21,6 +21,7 @@ from unlearn_lab import (
     min_identification_set,
     parity_class,
     random_finite_class,
+    separable_bruteforce,
     simplex_face_domain,
     star_number,
     thresholds_1d,
@@ -203,18 +204,50 @@ def test_oracle_and_finite_searches_agree():
         assert eluder_dimension(fc) == eluder_dimension(oracle, cap=cap)
 
 
-def test_littlestone_needs_finite_class():
-    with pytest.raises(AttributeError):
-        littlestone_dimension(HalfspaceOracle([(0,), (1,)]))
+def test_oracle_and_finite_littlestone_agree():
+    rng = random.Random(23)
+    for _ in range(15):
+        fc = random_finite_class(rng, max_m=5, max_h=12)
+        assert littlestone_dimension(as_oracle(fc)) == littlestone_dimension(fc)
 
 
 def test_oracle_report_skips_finite_only_dimensions():
-    oracle = HalfspaceOracle([(i,) for i in range(4)])
-    rep = compute_dims(oracle, cap=3)
-    assert rep.littlestone is None and rep.mis is None
+    points = [(i,) for i in range(4)]
+    rep = compute_dims(HalfspaceOracle(points), cap=3)
+    assert rep.mis is None and rep.witnesses["mis"] is None
     # rays open in either direction shatter two collinear points, never three
     assert rep.vc == 2
     assert rep.hollow_star == 3
+    assert rep.littlestone == 3
+    assert verify_littlestone_tree(_BruteForceHalfspaces(points), rep.witnesses["littlestone"], 3)
+
+
+def test_littlestone_verifier_rejects_an_unrealizable_branch():
+    # a complete tree that splits on the same points along every path
+    # shatters them: thresholds shatter no two points, and rays no three
+    tree2 = (0, (1, None, None), (1, None, None))
+    tree3 = (0, (1, (2, None, None), (2, None, None)), (1, (2, None, None), (2, None, None)))
+    fc = thresholds_1d(4)
+    for handle in (fc, as_oracle(fc)):
+        assert verify_littlestone_tree(handle, (1, None, None), 1)
+        assert not verify_littlestone_tree(handle, tree2, 2)
+    rays = HalfspaceOracle([(i,) for i in range(4)])
+    assert verify_littlestone_tree(rays, tree2, 2)
+    assert not verify_littlestone_tree(rays, tree3, 3)
+
+
+class _BruteForceHalfspaces:
+    """Halfspace realizability by `separable_bruteforce`, which shares no
+    code with `HalfspaceOracle`."""
+
+    def __init__(self, points):
+        self.points = [tuple(Fraction(c) for c in p) for p in points]
+        self.domain_size = len(self.points)
+
+    def is_realizable_pairs(self, pairs):
+        pos = [self.points[x] for x, y in pairs if y == 1]
+        neg = [self.points[x] for x, y in pairs if y == 0]
+        return separable_bruteforce(pos, neg)
 
 
 class _CountingOracle:
@@ -287,12 +320,16 @@ PINNED = {
 # Four of the five points lie in the plane z=0.
 PINNED_HALFSPACE_POINTS = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (2, 1, 0), ("1/2", "1/3", 1)]
 PINNED_HALFSPACE = {
-    "vc": 4, "littlestone": None, "star": CAP_EXCEEDED, "hollow_star": 4,
+    "vc": 4, "littlestone": 4, "star": CAP_EXCEEDED, "hollow_star": 4,
     "eluder": CAP_EXCEEDED, "mis": None,
     "caps": {"vc": 4, "star": 4, "hollow_star": 4, "eluder": 4},
     "witnesses": {
         "vc": [0, 1, 2, 4],
-        "littlestone": None,
+        "littlestone": [
+            0,
+            [1, [2, _leaf(3), _leaf(3)], [2, _leaf(3), _leaf(4)]],
+            [1, [2, _leaf(4), _leaf(3)], [2, _leaf(3), _leaf(3)]],
+        ],
         "star": [[x, 0] for x in range(5)],
         "hollow_star": [[0, 0], [1, 1], [2, 1], [3, 0]],
         "eluder": [[x, 0] for x in range(5)],
@@ -318,11 +355,16 @@ def test_pinned_reports():
     oracle = _CountingOracle(HalfspaceOracle(pts))
     assert _as_json(compute_dims(oracle, cap=4)) == PINNED_HALFSPACE
     assert oracle.calls == PINNED_HALFSPACE_CALLS
+    assert verify_littlestone_tree(
+        _BruteForceHalfspaces(PINNED_HALFSPACE_POINTS),
+        PINNED_HALFSPACE["witnesses"]["littlestone"],
+        PINNED_HALFSPACE["littlestone"],
+    )
 
 
 def test_finite_and_oracle_paths_agree_on_values_and_witnesses():
     rng = random.Random(24)
-    keys = ("vc", "star", "hollow_star", "eluder")
+    keys = ("vc", "littlestone", "star", "hollow_star", "eluder")
     for _ in range(100):
         fc = random_finite_class(rng, max_m=6, max_h=16)
         for cap in (1, 2, fc.domain_size + 1):
@@ -353,6 +395,13 @@ def test_verifiers_reject_out_of_domain_pairs():
             verify_eluder_sequence(handle, [(3, 1), (3, 0), (9, 0)])
         with pytest.raises(ValueError):
             verify_shattered(handle, [1, 1, 9])
+        with pytest.raises(ValueError):
+            verify_littlestone_tree(handle, (4, None, None), 1)
+        with pytest.raises(ValueError):
+            verify_littlestone_tree(handle, (-1, None, None), 1)
+        # a right subtree outside the domain behind a left branch that already fails
+        with pytest.raises(ValueError):
+            verify_littlestone_tree(handle, (0, None, (9, None, None)), 2)
 
 
 def test_random_m12_h64_witnesses_verify():
@@ -466,3 +515,60 @@ def test_pruned_searches_match_exhaustive_references():
         for cap in range(5):
             _check_hollow_matches(oracle, cap)
     _check_hollow_matches(HalfspaceOracle(simplex_face_domain(4, 2)), 3)
+
+
+# An independent reference for the split recursion: eluder and Littlestone
+# depth over explicit sets of hypothesis indices, straight from the
+# definitions, with no masks and no lattice.
+
+
+def _split_sets(fc, version, x):
+    """The two parts of `version` labeling x with 0 and with 1."""
+    return (
+        frozenset(h for h in version if fc.hypotheses[h][x] == 0),
+        frozenset(h for h in version if fc.hypotheses[h][x] == 1),
+    )
+
+
+def _reference_eluder(fc, version, memo):
+    """Longest sequence of pairs each of whose points both labels leave realizable."""
+    if version not in memo:
+        memo[version] = max(
+            (
+                1 + _reference_eluder(fc, part, memo)
+                for parts in (_split_sets(fc, version, x) for x in range(fc.domain_size))
+                if all(parts)
+                for part in parts
+            ),
+            default=0,
+        )
+    return memo[version]
+
+
+def _reference_littlestone(fc, version, memo):
+    """Depth of the deepest complete mistake tree the version space shatters."""
+    if version not in memo:
+        memo[version] = max(
+            (
+                1 + min(_reference_littlestone(fc, part, memo) for part in parts)
+                for parts in (_split_sets(fc, version, x) for x in range(fc.domain_size))
+                if all(parts)
+            ),
+            default=0,
+        )
+    return memo[version]
+
+
+def test_split_recursion_matches_set_references():
+    rng = random.Random(5)
+    for _ in range(300):
+        fc = random_finite_class(rng, 5, 10)
+        everything = frozenset(range(len(fc.hypotheses)))
+        eluder = _reference_eluder(fc, everything, {})
+        littlestone = _reference_littlestone(fc, everything, {})
+        for handle in (fc, as_oracle(fc)):
+            assert eluder_dimension(handle) == eluder, fc.hypotheses
+            assert littlestone_dimension(handle) == littlestone, fc.hypotheses
+            rep = compute_dims(handle, cap=fc.domain_size)
+            assert (rep.eluder, rep.littlestone) == (eluder, littlestone)
+            assert verify_littlestone_tree(handle, rep.witnesses["littlestone"], littlestone)
