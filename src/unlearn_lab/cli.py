@@ -143,19 +143,12 @@ def _cmd_scheme_run(args) -> int:
     data = classfiles.load_dataset(args.dataset, handle)
     queries = classfiles.load_queries(args.queries, data) if args.queries else [frozenset()]
     scheme = _build_scheme(args.scheme, handle, args.k, args.encoding_cap)
-    ticketed = getattr(scheme, "ticketed", False)
-    if ticketed:
-        answer, aux, tickets = scheme.learn(data)
-    else:
-        answer, aux = scheme.learn(data)
-        tickets = {}
+    answer, aux, *issued = scheme.learn(data)
+    tickets = issued[0] if issued else {}  # central schemes issue none
     answers = []
     for q in queries:
-        entries = data.entries_for(q)
-        if ticketed:
-            a = scheme.unlearn(entries, aux, {i: tickets[i] for i in sorted(q)})
-        else:
-            a = scheme.unlearn(entries, aux)
+        sub = {i: tickets[i] for i in sorted(q)} if tickets else {}
+        a = scheme.unlearn(data.entries_for(q), aux, sub)
         answers.append({"indices": sorted(q), "answer": _answer_json(args.scheme, a)})
     ticket_bits = {i: scheme.ticket_bits(t) for i, t in tickets.items()}
     bound = report.scheme_bound(
@@ -229,9 +222,9 @@ def _build_instance(name: str, params):
         return vclb_instance(beta, params.get("m", 8))
     if name in ("eluder", "erm-whitebox"):
         m = params.get("m", 8 if name == "eluder" else 4)
-        fc = thresholds_1d(m)
-        witness = compute_dims(fc).witnesses["eluder"]
-        inst = eluder_lb_instance(fc, witness, params.get("n", 2 * m))
+        # the eluder search's witness on thresholds, which the instance verifies
+        witness = tuple((x, 0) for x in range(m))
+        inst = eluder_lb_instance(thresholds_1d(m), witness, params.get("n", 2 * m))
         return inst if name == "eluder" else whitebox_erm_reduction(inst)
     if name == "shatter":
         m = params.get("m", 3)

@@ -310,7 +310,7 @@ def lu_to_vs_adapter(scheme, fc: FiniteClass, data: Dataset | Iterable[Pair]):
             for pos, x in enumerate(ident):
                 bad = 1 - row[x]
                 deleted.append((base + 2 * pos + 1 + bad, (x, bad)))
-            if scheme.unlearn(deleted, encoding):
+            if scheme.unlearn(deleted, encoding, {}):
                 members.add(i)
         return frozenset(members)
 

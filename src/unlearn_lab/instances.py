@@ -369,23 +369,17 @@ def run_adversary(inst: LbInstance, scheme, z: Sequence[int]) -> AdversaryRun:
     """
     bits = _check_secret(inst, z)
     data = inst.dataset_of(bits)
-    ticketed = getattr(scheme, "ticketed", False)
-    if ticketed:
-        _, aux, tickets = scheme.learn(data)
-        ticket_sizes = tuple(scheme.ticket_bits(t) for t in tickets.values())
-    else:
-        _, aux = scheme.learn(data)
-        tickets = None
-        ticket_sizes = ()
+    _, aux, *issued = scheme.learn(data)
+    tickets = issued[0] if issued else {}  # central schemes issue none
+    # a generator: central schemes define no ticket_bits
+    ticket_sizes = tuple(scheme.ticket_bits(t) for t in tickets.values())
     recovered: dict[int, int] = dict(inst.fixed_bits or {})
     transcript = []
     for pos in inst.recovery_order:
         ids = sorted(inst.query_ids(pos, recovered))
         entries = tuple((i, data.pair(i)) for i in ids)
-        if ticketed:
-            answer = scheme.unlearn(entries, aux, {i: tickets[i] for i in ids})
-        else:
-            answer = scheme.unlearn(entries, aux)
+        sub = {i: tickets[i] for i in ids} if tickets else {}
+        answer = scheme.unlearn(entries, aux, sub)
         recovered[pos] = inst.decode(pos, answer)
         transcript.append((pos, tuple(ids), answer))
     out = tuple(recovered.get(i, 0) for i in range(1, inst.secret_len + 1))

@@ -1,18 +1,20 @@
 """Central-memory learning-unlearning schemes.
 
 A central scheme pairs learn(dataset) -> (answer, aux) with
-unlearn(deleted entries, aux) -> answer, and must answer exactly as
-retraining from scratch would on the surviving dataset. Deleted entries
-are (item id, pair) tuples, the actual data points being removed, and
-may carry any ids the learned Dataset holds, including the gapped ids
-left by earlier deletions. Every unlearn rejects a repeated id through
+unlearn(deleted entries, aux, tickets) -> answer, and must answer exactly
+as retraining from scratch would on the surviving dataset. It is a
+ticketed scheme whose tickets are empty: it issues none, so unlearn
+rejects a non-empty ticket mapping with ValueError. Deleted entries are
+(item id, pair) tuples, the actual data points being removed, and may
+carry any ids the learned Dataset holds, including the gapped ids left
+by earlier deletions. Every unlearn rejects a repeated id through
 core.distinct_ids.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .core import (
@@ -39,10 +41,13 @@ class PreconditionError(ValueError):
     """An input violated a scheme's stated precondition."""
 
 
+def _no_tickets(tickets: Mapping) -> None:
+    if tickets:
+        raise ValueError("a central scheme issues no tickets, so unlearn takes none")
+
+
 class TrivialScheme:
     """Store the whole dataset; retrain on every unlearning query."""
-
-    ticketed = False
 
     def __init__(self, handle: ClassHandle):
         self.handle = handle
@@ -50,7 +55,8 @@ class TrivialScheme:
     def learn(self, data: Dataset) -> tuple[bool, Dataset]:
         return is_realizable(self.handle, data), data
 
-    def unlearn(self, deleted: Sequence[Entry], aux: Dataset) -> bool:
+    def unlearn(self, deleted: Sequence[Entry], aux: Dataset, tickets: Mapping) -> bool:
+        _no_tickets(tickets)
         return is_realizable(self.handle, aux.remove(i for i, _ in deleted))
 
     def aux_bits(self, aux: Dataset) -> int:
@@ -60,15 +66,14 @@ class TrivialScheme:
 class TrivialErmScheme:
     """Store-everything scheme for the ERM task over a finite class."""
 
-    ticketed = False
-
     def __init__(self, fc: FiniteClass):
         self.fc = fc
 
     def learn(self, data: Dataset) -> tuple[int, Dataset]:
         return erm_lexmin(self.fc, data), data
 
-    def unlearn(self, deleted: Sequence[Entry], aux: Dataset) -> int:
+    def unlearn(self, deleted: Sequence[Entry], aux: Dataset, tickets: Mapping) -> int:
+        _no_tickets(tickets)
         return erm_lexmin(self.fc, aux.remove(i for i, _ in deleted))
 
     def aux_bits(self, aux: Dataset) -> int:
@@ -177,8 +182,6 @@ class BoundedDeletionScheme:
     dataset. An entry from elsewhere is counted as a deletion of its pair.
     """
 
-    ticketed = False
-
     def __init__(self, handle: ClassHandle, k: int):
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -193,7 +196,8 @@ class BoundedDeletionScheme:
         counts = {pair: data.support()[pair] for pair in sorted(mentioned)}
         return False, CriticalIndex(False, self.k, len(data), frozenset(sets), counts)
 
-    def unlearn(self, deleted: Sequence[Entry], aux: CriticalIndex) -> bool:
+    def unlearn(self, deleted: Sequence[Entry], aux: CriticalIndex, tickets: Mapping) -> bool:
+        _no_tickets(tickets)
         if len(deleted) > aux.k:
             raise QueryTooLargeError(
                 f"query of {len(deleted)} items exceeds the budget k={aux.k}"

@@ -2,18 +2,20 @@
 
 A ticketed scheme's learn returns (answer, aux, tickets): aux lives in
 central memory, each ticket, keyed by item id, with the item's owner.
-Unlearn sees only the deleted entries, aux, and the deleted items'
-tickets, and must answer exactly as retraining on the survivors would.
-Every unlearn rejects a repeated id through core.distinct_ids. Tickets
-are trusted structural values; their bit sizes come from the cost model,
-not from serialization. The tree schemes' tickets are a read-only
-mapping built on access: learn keeps the tree's node-state levels, and
-a ticket copies its off-path sibling states (version-space masks on a
-finite class) from them when its id is looked up; they are encoded only
-where a ticket's size is priced. Tree unlearn answers from the deleted
-items' sibling states alone: the AND of the masks on a finite class, one
-realizability question about the union of the encodings' pairs on an
-oracle.
+Unlearn takes (deleted entries, aux, the deleted items' tickets), the
+one protocol of every scheme (a central scheme's tickets are empty), and
+must answer exactly as retraining on the survivors would. Every unlearn
+here reads the deleted items' tickets through one check: a repeated id
+raises ValueError (core.distinct_ids), an id with no ticket TicketError.
+Tickets are trusted structural values; their bit sizes come from the
+cost model, not from serialization. The tree schemes' tickets are a
+read-only mapping built on access: learn keeps the tree's node-state
+levels, and a ticket copies its off-path sibling states (version-space
+masks on a finite class) from them when its id is looked up; they are
+encoded only where a ticket's size is priced. Tree unlearn answers from
+the deleted items' sibling states alone: the AND of the masks on a
+finite class, one realizability question about the union of the
+encodings' pairs on an oracle.
 
 Known defect: the tree schemes place leaves by position but tickets by
 item id, so they are exact only on datasets whose ids are 1..n. On the
@@ -98,6 +100,22 @@ class TicketView(Mapping[int, Ticket]):
         return len(self._data)
 
 
+def _deleted_tickets(deleted: Sequence[Entry], tickets: Mapping) -> list:
+    """The deleted items' tickets in entry order, each id looked up once.
+
+    A repeated id raises ValueError and an id with no ticket TicketError;
+    a None ticket is returned as it is.
+    """
+    distinct_ids(i for i, _ in deleted)
+    chosen = []
+    for i, _ in deleted:
+        try:
+            chosen.append(tickets[i])
+        except KeyError:
+            raise TicketError(f"missing ticket for deleted item {i}") from None
+    return chosen
+
+
 def tree_depth(n: int) -> int:
     """Depth of the tree over n items, padded to 2**depth >= max(n, 1) leaves."""
     return (max(n, 1) - 1).bit_length()
@@ -118,8 +136,6 @@ class _AggregationTreeScheme:
     `unlearn` is shared; each scheme supplies only `_answer(space)`, where
     `space` is what `NodeStates.version_space` gives for the survivors.
     """
-
-    ticketed = True
 
     def __init__(self, handle: ClassHandle, encoding_cap: int | None = None):
         self.handle = handle
@@ -152,13 +168,9 @@ class _AggregationTreeScheme:
         the survivors, so the union of their datasets has the survivors'
         version space.
         """
-        distinct_ids(i for i, _ in deleted)
-        chosen = []
-        for i, _ in deleted:
-            t = tickets.get(i)
-            if t is None:
-                raise TicketError(f"missing ticket for deleted item {i}")
-            chosen.append(t)
+        chosen = _deleted_tickets(deleted, tickets)
+        if any(t is None for t in chosen):
+            raise TicketError("a tree scheme's ticket cannot be None")
         depth = len(chosen[0].states)
         if any(len(t.states) != depth for t in chosen):
             raise TicketError("tickets disagree on tree depth")
@@ -276,8 +288,6 @@ class ChainScheme:
     with no ticket raises TicketError, as in the tree schemes.
     """
 
-    ticketed = True
-
     def __init__(self, d: int, domain_size: int):
         if not (1 <= d <= domain_size):
             raise ValueError("need 1 <= d <= domain size")
@@ -332,10 +342,7 @@ class ChainScheme:
         aux: ChainAux,
         tickets: Mapping[int, ChainTicket | None],
     ) -> bool:
-        distinct_ids(i for i, _ in deleted)
-        for i, _ in deleted:
-            if i not in tickets:
-                raise TicketError(f"missing ticket for deleted item {i}")
+        chosen = _deleted_tickets(deleted, tickets)
         rem0: dict[int, int] = {}
         rem1: dict[int, int] = {}
         for _, (x, y) in deleted:
@@ -350,12 +357,9 @@ class ChainScheme:
         while True:
             if not self._discharged(current, rem0, rem1):
                 return False
-            ticket = None
-            for i, (x, _) in deleted:
-                t = tickets.get(i)
-                if t is not None and t.current.x == current.x:
-                    ticket = t
-                    break
+            ticket = next(
+                (t for t in chosen if t is not None and t.current.x == current.x), None
+            )
             if ticket is None:
                 raise TicketError(
                     f"no deleted item carries the ticket of blocker {current.x}"

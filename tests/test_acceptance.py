@@ -74,7 +74,7 @@ def _check_instance(fc, data, ids, schemes, checked):
     survivor = data.remove(ids)
     expected = is_realizable(fc, survivor)
 
-    got = schemes["trivial"].unlearn(entries, schemes["trivial_aux"])
+    got = schemes["trivial"].unlearn(entries, schemes["trivial_aux"], {})
     assert got == expected
     checked[0] += 1
 
@@ -85,7 +85,7 @@ def _check_instance(fc, data, ids, schemes, checked):
     checked[0] += 1
 
     if len(ids) <= 3:
-        got = schemes["bounded"].unlearn(entries, schemes["bounded_aux"])
+        got = schemes["bounded"].unlearn(entries, schemes["bounded_aux"], {})
         assert got == expected
         checked[0] += 1
 
@@ -130,7 +130,7 @@ def test_criterion_1_retrain_oracle_equivalence():
 
         trivial = TrivialScheme(fc)
         _, aux_t = trivial.learn(data)
-        assert trivial.unlearn(entries, aux_t) == expected
+        assert trivial.unlearn(entries, aux_t, {}) == expected
         checked[0] += 1
 
         merkle = MerkleScheme(fc)
@@ -142,7 +142,7 @@ def test_criterion_1_retrain_oracle_equivalence():
             k = max(1, len(ids))
             bounded = BoundedDeletionScheme(fc, k)
             _, aux_b = bounded.learn(data)
-            assert bounded.unlearn(entries, aux_b) == expected
+            assert bounded.unlearn(entries, aux_b, {}) == expected
             checked[0] += 1
 
         if is_realizable(fc, data):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from unlearn_lab.cli import main
+from unlearn_lab import compute_dims, eluder_lb_instance, thresholds_1d
+from unlearn_lab.cli import _build_instance, main
 
 
 def _write(path, doc):
@@ -189,6 +190,18 @@ def test_lb_demo_erm_whitebox(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["exact"] is True
+
+
+def test_lb_demo_eluder_witness_is_the_searched_one(capsys):
+    for m in range(1, 11):
+        fc = thresholds_1d(m)
+        searched = eluder_lb_instance(fc, compute_dims(fc).witnesses["eluder"], 2 * m)
+        assert _build_instance("eluder", {"m": m}).recipe == searched.recipe
+    # no dimension search runs, so m=24 answers at once
+    code, out, _ = _run(
+        capsys, ["lb", "demo", "--instance", "eluder", "--params", '{"m": 24}', "--secret", "10" * 12]
+    )
+    assert code == 0 and json.loads(out)["recovered"] == "10" * 12
 
 
 def test_lb_demo_scheme_task_mismatch(capsys):

@@ -213,8 +213,8 @@ def test_adapter_input_size_bound():
                 seen["n"] = len(data)
                 return TrivialScheme(fc).learn(data)
 
-            def unlearn(self, deleted, aux):
-                return TrivialScheme(fc).unlearn(deleted, aux)
+            def unlearn(self, deleted, aux, tickets):
+                return TrivialScheme(fc).unlearn(deleted, aux, tickets)
 
         pairs = _random_pairs(rng, fc.domain_size, 8)
         aux, dec = lu_to_vs_adapter(_Probe(), fc, Dataset.from_pairs(pairs))

@@ -35,22 +35,15 @@ K = 2  # deletion budget of the bounded scheme
 
 def _learn(scheme, data):
     """(aux, tickets) of a central or ticketed scheme; central ones issue none."""
-    if scheme.ticketed:
-        return scheme.learn(data)[1:]
-    return scheme.learn(data)[1], {}
-
-
-def _unlearn(scheme, entries, aux, tickets):
-    if scheme.ticketed:
-        return scheme.unlearn(entries, aux, tickets)
-    return scheme.unlearn(entries, aux)
+    _, aux, *issued = scheme.learn(data)
+    return aux, issued[0] if issued else {}
 
 
 def _ask(scheme, data, ids):
     """Learn on data, then unlearn ids with the deleted items' tickets."""
     aux, tickets = _learn(scheme, data)
     sub = {i: tickets[i] for i in ids if i in tickets}
-    return _unlearn(scheme, data.entries_for(ids), aux, sub)
+    return scheme.unlearn(data.entries_for(ids), aux, sub)
 
 
 def _check(fc, chain_d, data, rng):
@@ -141,7 +134,7 @@ def test_every_scheme_rejects_duplicate_ids(make):
     data = Dataset.from_pairs([(0, 1), (1, 1), (2, 0)])
     aux, tickets = _learn(scheme, data)
     with pytest.raises(ValueError, match="duplicate index 2"):
-        _unlearn(scheme, data.entries_for([2]) * 2, aux, tickets)
+        scheme.unlearn(data.entries_for([2]) * 2, aux, tickets)
 
 
 @pytest.fixture

@@ -143,6 +143,29 @@ def test_adversary_accounting_fields():
     assert ticketed.max_ticket_bits > 0
 
 
+class _BareCentralScheme:
+    """A central scheme with only learn, unlearn and aux_bits: no ticket_bits."""
+
+    def __init__(self, handle):
+        self.inner = TrivialScheme(handle)
+
+    def learn(self, data):
+        return self.inner.learn(data)
+
+    def unlearn(self, entries, aux, tickets):
+        return self.inner.unlearn(entries, aux, tickets)
+
+    def aux_bits(self, aux):
+        return self.inner.aux_bits(aux)
+
+
+def test_adversary_drives_a_scheme_without_ticket_bits():
+    inst = vclb_instance("1/2", 4)
+    run = run_adversary(inst, _BareCentralScheme(inst.handle), (0, 1, 1, 0))
+    assert run.exact and run.ticket_bits == ()
+    assert run == run_adversary(inst, TrivialScheme(inst.handle), (0, 1, 1, 0))
+
+
 def test_whitebox_copies_count():
     fc = thresholds_1d(4)
     witness = compute_dims(fc).witnesses["eluder"]
@@ -205,7 +228,6 @@ class _RecordingScheme:
 
     def __init__(self, scheme):
         self.scheme = scheme
-        self.ticketed = getattr(scheme, "ticketed", False)
         self.deleted = []
 
     def learn(self, data):

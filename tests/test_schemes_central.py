@@ -40,8 +40,8 @@ def test_trivial_scheme_examples(thr4):
     d = Dataset.from_pairs([(0, 1), (1, 0)])
     answer, aux = scheme.learn(d)
     assert answer is False
-    assert scheme.unlearn([], aux) is False
-    assert scheme.unlearn([(1, (0, 1))], aux) is True
+    assert scheme.unlearn([], aux, {}) is False
+    assert scheme.unlearn([(1, (0, 1))], aux, {}) is True
     assert scheme.aux_bits(aux) == 2 + 2 * 3  # count_bits(2) + 2 pairs
 
 
@@ -49,7 +49,21 @@ def test_trivial_scheme_unknown_index(thr4):
     scheme = TrivialScheme(thr4)
     _, aux = scheme.learn(Dataset.from_pairs([(0, 1)]))
     with pytest.raises(UnknownItemError):
-        scheme.unlearn([(9, (0, 1))], aux)
+        scheme.unlearn([(9, (0, 1))], aux, {})
+
+
+@pytest.mark.parametrize(
+    "make", [TrivialScheme, TrivialErmScheme, lambda fc: BoundedDeletionScheme(fc, 2)]
+)
+def test_central_schemes_take_no_tickets(thr4, make):
+    scheme = make(thr4)
+    data = Dataset.from_pairs([(0, 1), (1, 1)])
+    learned = scheme.learn(data)
+    assert len(learned) == 2  # a central learn issues no tickets
+    entries = data.entries_for([1])
+    with pytest.raises(ValueError, match="no tickets"):
+        scheme.unlearn(entries, learned[1], {1: None})
+    assert scheme.unlearn(entries, learned[1], {}) == scheme.learn(data.remove([1]))[0]
 
 
 def test_core_greedy_removes_in_canonical_order(thr4):
@@ -132,8 +146,8 @@ def test_bounded_scheme_threshold_examples(thr4):
     d = Dataset.from_pairs(MIXED)
     answer, aux = scheme.learn(d)
     assert answer is False
-    assert scheme.unlearn([(2, (1, 0)), (4, (3, 0))], aux) is True
-    assert scheme.unlearn([(1, (0, 1))], aux) is False
+    assert scheme.unlearn([(2, (1, 0)), (4, (3, 0))], aux, {}) is True
+    assert scheme.unlearn([(1, (0, 1))], aux, {}) is False
 
 
 def test_bounded_scheme_multiplicity_semantics():
@@ -142,14 +156,14 @@ def test_bounded_scheme_multiplicity_semantics():
     scheme = BoundedDeletionScheme(fc, 1)
     _, aux = scheme.learn(d)
     # one of two copies of (x,1) removed: the pair survives
-    assert scheme.unlearn([(1, (0, 1))], aux) is False
+    assert scheme.unlearn([(1, (0, 1))], aux, {}) is False
 
 
 def test_bounded_scheme_query_budget(thr4):
     scheme = BoundedDeletionScheme(thr4, 1)
     _, aux = scheme.learn(Dataset.from_pairs(MIXED))
     with pytest.raises(QueryTooLargeError):
-        scheme.unlearn([(1, (0, 1)), (2, (1, 0))], aux)
+        scheme.unlearn([(1, (0, 1)), (2, (1, 0))], aux, {})
 
 
 def test_bounded_scheme_realizable_base_always_yes(thr4):
@@ -157,7 +171,7 @@ def test_bounded_scheme_realizable_base_always_yes(thr4):
     d = Dataset.from_pairs([(2, 1), (3, 1)])
     answer, aux = scheme.learn(d)
     assert answer is True
-    assert scheme.unlearn([(1, (2, 1))], aux) is True
+    assert scheme.unlearn([(1, (2, 1))], aux, {}) is True
     assert aux.critical_sets == frozenset()
 
 
@@ -174,7 +188,7 @@ def test_bounded_scheme_matches_oracle_on_random_instances():
         _, aux = scheme.learn(data)
         ids = rng.sample(range(1, n + 1), min(n, rng.randint(0, k)))
         entries = data.entries_for(ids)
-        assert scheme.unlearn(entries, aux) == is_realizable(fc, data.remove(ids))
+        assert scheme.unlearn(entries, aux, {}) == is_realizable(fc, data.remove(ids))
 
 
 def test_trivial_erm_scheme_matches_oracle():
@@ -189,4 +203,4 @@ def test_trivial_erm_scheme_matches_oracle():
         answer, aux = scheme.learn(data)
         assert answer == erm_lexmin(fc, data)
         ids = [i for i in range(1, n + 1) if rng.random() < 0.4]
-        assert scheme.unlearn(data.entries_for(ids), aux) == erm_lexmin(fc, data.remove(ids))
+        assert scheme.unlearn(data.entries_for(ids), aux, {}) == erm_lexmin(fc, data.remove(ids))

@@ -129,7 +129,7 @@ def test_merkle_matches_trivial_on_random_queries():
         _, aux_m, tickets = scheme.learn(data)
         ids = [i for i in range(1, len(data) + 1) if rng.random() < 0.5]
         entries = data.entries_for(ids)
-        expected = trivial.unlearn(entries, aux_t)
+        expected = trivial.unlearn(entries, aux_t, {})
         got = scheme.unlearn(entries, aux_m, {i: tickets[i] for i in ids})
         assert got == expected
 
@@ -140,6 +140,14 @@ def test_merkle_missing_ticket_raises(thr4):
     _, aux, tickets = scheme.learn(data)
     with pytest.raises(TicketError):
         scheme.unlearn(data.entries_for([1]), aux, {})
+
+
+def test_merkle_none_ticket_raises(thr4):
+    scheme = MerkleScheme(thr4)
+    data = Dataset.from_pairs([(0, 1), (1, 1)])
+    _, aux, _ = scheme.learn(data)
+    with pytest.raises(TicketError):
+        scheme.unlearn(data.entries_for([1]), aux, {1: None})
 
 
 def test_merkle_inconsistent_tickets_raise(thr4):
@@ -257,7 +265,7 @@ def test_erm_merkle_matches_trivial_erm_on_realizable_data():
         ids = [i for i in range(1, n + 1) if rng.random() < 0.5]
         entries = data.entries_for(ids)
         assert scheme.unlearn(entries, aux_m, {i: tickets[i] for i in ids}) == trivial.unlearn(
-            entries, aux_t
+            entries, aux_t, {}
         )
 
 
