@@ -144,12 +144,10 @@ def load_class(path) -> tuple[ClassHandle, str]:
     if "hypotheses" not in doc:
         raise FileFormatError(path, "class file needs 'hypotheses' or 'generator'")
     domain = doc.get("domain")
-    if isinstance(domain, int):
-        m = domain
-    elif isinstance(domain, list):
+    if isinstance(domain, list):
         m = len(domain)
     else:
-        raise FileFormatError(path, "'domain' must be a size or a list of points")
+        m = _json_int(domain, path, "'domain', when not a list of points,")
     try:
         fc = FiniteClass(m, doc["hypotheses"])
     except ValueError as exc:

@@ -97,17 +97,13 @@ def _cmd_merge(args) -> int:
 
 
 def _chain_params(handle) -> int:
-    # the chain scheme runs on the free-prefix class; recover d from rows
+    # the chain scheme runs on the free-prefix class: 2**d distinct rows, label 0 from point d on
     if not isinstance(handle, FiniteClass):
         raise UsageError("the chain scheme needs a tilu-ub class file")
     m = handle.domain_size
-    d = m
-    for x in range(m):
-        if all(row[x] == 0 for row in handle.hypotheses):
-            d = x
-            break
-    expected = {tuple((a >> i & 1) if i < d else 0 for i in range(m)) for a in range(1 << d)}
-    if set(handle.hypotheses) != expected:
+    zero = [x for x in range(m) if handle.pair_mask(x, 1) == 0]
+    d = zero[0] if zero else m
+    if zero != list(range(d, m)) or len(handle) != 1 << d:
         raise UsageError("the chain scheme needs the tilu-ub generator class")
     return d
 

@@ -107,36 +107,20 @@ def _canonical_from_mask(fc: FiniteClass, mask: int) -> VsEncoding:
         return cached  # type: ignore[return-value]
     if mask == 0:
         enc = unrealizable_marker()
-        fc._canon_cache[mask] = enc
-        return enc
-    kept: list[Pair] = []
-    full = fc.full_mask
-    for x in range(fc.domain_size):
-        for y in (0, 1):
-            agree = fc.pair_mask(x, y)
-            if mask & agree == mask and agree != full:
-                kept.append((x, y))
-                break
-    # lexicographic-order prune, so the result is a function of the mask
-    i = 0
-    while i < len(kept):
-        x, y = kept[i]
-        rest_mask = full
-        for j, (px, py) in enumerate(kept):
-            if j != i:
-                rest_mask &= fc.pair_mask(px, py)
-        if rest_mask == mask:
-            del kept[i]
-        else:
-            i += 1
-    check = full
-    for px, py in kept:
-        check &= fc.pair_mask(px, py)
-    if check != mask:
-        raise NotAVersionSpaceError(
-            "hypothesis subset is not the version space of any dataset"
-        )
-    enc = VsEncoding(True, tuple(kept))
+    else:
+        full = fc.full_mask
+        agreed = [
+            (x, y)
+            for x in range(fc.domain_size)
+            for y in (0, 1)
+            if (agree := fc.pair_mask(x, y)) != full and mask & agree == mask
+        ]
+        if fc.vs_mask(agreed) != mask:
+            raise NotAVersionSpaceError(
+                "hypothesis subset is not the version space of any dataset"
+            )
+        # lexicographic-order prune, so the result is a function of the mask
+        enc = VsEncoding(True, tuple(star_prune(fc, agreed)))
     fc._canon_cache[mask] = enc
     return enc
 
@@ -145,7 +129,7 @@ def canonical_dataset(fc: FiniteClass, vs: Iterable[int]) -> VsEncoding:
     """Canonical compressed dataset of a version space.
 
     Scans the domain in lexicographic order, adding a pair wherever the
-    version space is unanimous but the full class is not, then prunes.
+    version space is unanimous but the full class is not, then star_prune.
     Raises NotAVersionSpaceError when the given subset is not a version
     space; the empty subset maps to the unrealizable marker.
     """
@@ -248,18 +232,8 @@ class _LeafMasks(dict):
 def mergeable_triple(
     handle: ClassHandle,
 ) -> tuple[Callable, Callable, Callable]:
-    """(Encode, Merge, Decode) closures over this module's encodings."""
-
-    def encode(data):
-        return vs_encode(handle, data)
-
-    def merge_fn(e1, e2):
-        return merge(handle, e1, e2)
-
-    def decode(enc):
-        return mergeable_decode(handle, enc)
-
-    return encode, merge_fn, decode
+    """(Encode, Merge, Decode) of this module's encodings, bound to one handle."""
+    return partial(vs_encode, handle), partial(merge, handle), partial(mergeable_decode, handle)
 
 
 def mergeable_to_vs_decode(

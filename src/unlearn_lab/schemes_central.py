@@ -21,7 +21,6 @@ from .core import (
     ClassHandle,
     Dataset,
     Entry,
-    FiniteClass,
     Pair,
     count_bits,
     dataset_bits,
@@ -47,37 +46,28 @@ def _no_tickets(tickets: Mapping) -> None:
 
 
 class TrivialScheme:
-    """Store the whole dataset; retrain on every unlearning query."""
+    """Store the whole dataset; retrain, computing `task`, on every unlearning query."""
+
+    task = staticmethod(is_realizable)
 
     def __init__(self, handle: ClassHandle):
         self.handle = handle
 
-    def learn(self, data: Dataset) -> tuple[bool, Dataset]:
-        return is_realizable(self.handle, data), data
+    def learn(self, data: Dataset) -> tuple[bool | int, Dataset]:
+        return self.task(self.handle, data), data
 
-    def unlearn(self, deleted: Sequence[Entry], aux: Dataset, tickets: Mapping) -> bool:
+    def unlearn(self, deleted: Sequence[Entry], aux: Dataset, tickets: Mapping) -> bool | int:
         _no_tickets(tickets)
-        return is_realizable(self.handle, aux.remove(i for i, _ in deleted))
+        return self.task(self.handle, aux.remove(i for i, _ in deleted))
 
     def aux_bits(self, aux: Dataset) -> int:
         return dataset_bits(len(aux), self.handle.domain_size)
 
 
-class TrivialErmScheme:
+class TrivialErmScheme(TrivialScheme):
     """Store-everything scheme for the ERM task over a finite class."""
 
-    def __init__(self, fc: FiniteClass):
-        self.fc = fc
-
-    def learn(self, data: Dataset) -> tuple[int, Dataset]:
-        return erm_lexmin(self.fc, data), data
-
-    def unlearn(self, deleted: Sequence[Entry], aux: Dataset, tickets: Mapping) -> int:
-        _no_tickets(tickets)
-        return erm_lexmin(self.fc, aux.remove(i for i, _ in deleted))
-
-    def aux_bits(self, aux: Dataset) -> int:
-        return dataset_bits(len(aux), self.fc.domain_size)
+    task = staticmethod(erm_lexmin)
 
 
 def minimal_unrealizable_core(

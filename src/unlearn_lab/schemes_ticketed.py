@@ -25,13 +25,14 @@ IndexError (ROADMAP item 1).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .compression import NodeStates, VsEncoding
 from .core import (
-    ClassHandle, Dataset, Entry, FiniteClass, count_bits, distinct_ids
+    ClassHandle, Dataset, Entry, FiniteClass, _check_pair, count_bits, distinct_ids
 )
 from .schemes_central import PreconditionError
 
@@ -92,6 +93,14 @@ class TicketView(Mapping[int, Ticket]):
             v >>= 1
         states.reverse()
         return Ticket(item_id, tuple(states), self._encode)
+
+    def __contains__(self, item_id) -> bool:
+        # Mapping's default would build the whole ticket and drop it
+        try:
+            self._data.pair(item_id)
+        except KeyError:
+            return False
+        return True
 
     def __iter__(self) -> Iterator[int]:
         return (i for i, _ in self._data.entries)
@@ -294,27 +303,20 @@ class ChainScheme:
         self.d = d
         self.domain_size = domain_size
 
-    def _blockers(self, counts0: dict[int, int], counts1: dict[int, int]) -> list[BlockerInfo]:
+    def _blockers(self, counts: Counter) -> list[BlockerInfo]:
         out = []
         for x in range(self.domain_size):
-            n0 = counts0.get(x, 0)
-            n1 = counts1.get(x, 0)
-            if x < self.d:
-                if n0 and n1:
-                    out.append(BlockerInfo(x, n0, n1))
-            elif n1:
+            n0, n1 = counts[x, 0], counts[x, 1]
+            if n1 and (n0 or x >= self.d):
                 out.append(BlockerInfo(x, n0, n1))
         return out
 
     def learn(self, data: Dataset) -> tuple[bool, ChainAux, dict[int, ChainTicket | None]]:
         n = len(data)
-        counts0: dict[int, int] = {}
-        counts1: dict[int, int] = {}
-        for _, (x, y) in data.entries:
-            if not (0 <= x < self.domain_size):
-                raise ValueError(f"point id {x} outside domain")
-            (counts1 if y else counts0)[x] = (counts1 if y else counts0).get(x, 0) + 1
-        chain = self._blockers(counts0, counts1)
+        counts = data.support()
+        for pair in counts:
+            _check_pair(pair, self.domain_size)
+        chain = self._blockers(counts)
         by_x = {info.x: i for i, info in enumerate(chain)}
         aux = ChainAux(
             n,
@@ -331,10 +333,8 @@ class ChainScheme:
                 tickets[item_id] = ChainTicket(n, chain[pos], succ)
         return not chain, aux, tickets
 
-    def _discharged(self, info: BlockerInfo, rem0: dict[int, int], rem1: dict[int, int]) -> bool:
-        if info.x < self.d and rem0.get(info.x, 0) == info.n0:
-            return True
-        return rem1.get(info.x, 0) == info.n1
+    def _discharged(self, info: BlockerInfo, removed: Counter) -> bool:
+        return (info.x < self.d and removed[info.x, 0] == info.n0) or removed[info.x, 1] == info.n1
 
     def unlearn(
         self,
@@ -343,19 +343,16 @@ class ChainScheme:
         tickets: Mapping[int, ChainTicket | None],
     ) -> bool:
         chosen = _deleted_tickets(deleted, tickets)
-        rem0: dict[int, int] = {}
-        rem1: dict[int, int] = {}
-        for _, (x, y) in deleted:
-            (rem1 if y else rem0)[x] = (rem1 if y else rem0).get(x, 0) + 1
+        removed = Counter(pair for _, pair in deleted)
         if aux.first is None:
             return True
-        if not self._discharged(aux.first, rem0, rem1):
+        if not self._discharged(aux.first, removed):
             return False
         if aux.second is None:
             return True
         current = aux.second
         while True:
-            if not self._discharged(current, rem0, rem1):
+            if not self._discharged(current, removed):
                 return False
             ticket = next(
                 (t for t in chosen if t is not None and t.current.x == current.x), None

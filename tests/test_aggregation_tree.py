@@ -16,6 +16,7 @@ from unlearn_lab import (
     PreconditionError,
     Ticket,
     TicketError,
+    TicketView,
     UnknownItemError,
     count_bits,
     erm_lexmin,
@@ -422,3 +423,15 @@ def test_contradiction_does_not_skip_pair_validation():
         fc.vs_mask(bad)
     assert fc.vs_mask([(0, 0), (0, 1), (3, 1)]) == 0
     assert is_realizable(fc, [(0, 0), (0, 1), (3, 1)]) is False
+
+
+def test_ticket_membership_builds_no_ticket(monkeypatch):
+    looked_up = []
+    getitem = TicketView.__getitem__
+    monkeypatch.setattr(
+        TicketView, "__getitem__", lambda view, i: looked_up.append(i) or getitem(view, i)
+    )
+    _, _, tickets = MerkleScheme(thresholds_1d(4)).learn(Dataset.from_pairs([(0, 1), (2, 1), (3, 1)]))
+    assert [i in tickets for i in (1, 2, 3, 0, 4, "1")] == [True, True, True, False, False, False]
+    assert looked_up == []
+    assert tickets[3].leaf == 3 and looked_up == [3]

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from unlearn_lab import compute_dims, eluder_lb_instance, thresholds_1d
+from unlearn_lab import (
+    HalfspaceOracle,
+    compute_dims,
+    eluder_lb_instance,
+    simplex_face_domain,
+    thresholds_1d,
+    vs_encode,
+)
+from unlearn_lab.classfiles import encoding_to_json
 from unlearn_lab.cli import _build_instance, main
 
 
@@ -618,3 +626,115 @@ def test_negative_dimension_caps_exit_2(tmp_path, thr4_file, capsys, argv):
     assert code == 2 and out == "" and "must be at least 0" in err
     code, _, _ = _run(capsys, [a if a != "-1" else "0" for a in argv])
     assert code == 0
+
+
+def _dims_without_class(capsys, path):
+    code, out, _ = _run(capsys, ["dims", path, "--witness"])
+    assert code == 0
+    doc = json.loads(out)
+    return doc.pop("class"), doc
+
+
+@pytest.mark.parametrize("domain", [4, [[0], [1], [2], [3]]])
+def test_explicit_matrix_class_matches_its_generator(tmp_path, thr4_file, capsys, domain):
+    rows = [list(row) for row in thresholds_1d(4).hypotheses]
+    path = _write(tmp_path / "m.json", {"domain": domain, "hypotheses": rows})
+    desc, doc = _dims_without_class(capsys, path)
+    assert desc == "explicit(m=4,h=5)"
+    assert doc == _dims_without_class(capsys, thr4_file)[1]
+
+
+@pytest.mark.parametrize("domain", [True, 2.0, "2", None])
+def test_explicit_domain_must_be_a_size_or_a_point_list(tmp_path, capsys, domain):
+    path = _write(tmp_path / "c.json", {"domain": domain, "hypotheses": [[0], [1]]})
+    code, out, err = _run(capsys, ["dims", path])
+    assert code == 1 and out == "" and "c.json: 'domain'" in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("spec, desc, dims", [
+    ({"kind": "parity", "d": 2}, "parity(d=2)", (2, 2, 2, 3, 2, 2)),
+    ({"kind": "all-labelings", "m": 3}, "all-labelings(m=3)", (3, 3, 3, 2, 3, 3)),
+    ({"kind": "random", "m": 4, "h": 6, "seed": 5}, "random(m=4,h=3,seed=5)", (1, 1, 2, 2, 2, 2))])
+def test_dims_reads_each_generator(tmp_path, capsys, spec, desc, dims):
+    path = _write(tmp_path / "c.json", {"generator": spec})
+    code, out, _ = _run(capsys, ["dims", path])
+    doc = json.loads(out)
+    assert code == 0 and doc["class"] == desc
+    assert tuple(doc[k] for k in ("vc", "littlestone", "star", "hollow_star", "eluder", "mis")) == dims
+
+
+def test_vs_encode_reads_simplex_face_and_rational_string_domains(tmp_path, capsys):
+    faces = _write(tmp_path / "faces.json", {
+        "generator": {"kind": "halfspace", "d": 4},
+        "domain": {"kind": "simplex-faces", "d": 4, "k": 2}})
+    pairs = [(0, 1), (3, 0), (5, 1)]
+    data = _write(tmp_path / "d.json", {"items": [{"x": x, "y": y} for x, y in pairs]})
+    code, out, _ = _run(capsys, ["vs-encode", faces, data])
+    doc = json.loads(out)
+    want = vs_encode(HalfspaceOracle(simplex_face_domain(4, 2)), pairs)
+    assert code == 0 and doc["class"] == "halfspace(d=4,simplex-faces(k=2))"
+    assert doc["encoding"] == encoding_to_json(want)
+    # the point 1/2 lies between 0 and 1, so a halfspace labelling both ends 1 labels it 1
+    line = _write(tmp_path / "line.json",
+                  {"generator": {"kind": "halfspace", "d": 1}, "domain": [[0], ["1/2"], [1]]})
+    data = _write(tmp_path / "d.json", {"items": [{"x": 0, "y": 1}, {"x": 2, "y": 1}, {"x": 1, "y": 0}]})
+    code, out, _ = _run(capsys, ["vs-encode", line, data])
+    doc = json.loads(out)
+    assert code == 0 and doc["class"] == "halfspace(d=1,points=3)"
+    assert doc["encoding"]["kind"] == "unrealizable"
+
+
+def test_merge_reads_an_unrealizable_encoding_file(tmp_path, thr4_file, capsys):
+    good = _write(tmp_path / "a.json", {"kind": "realizable", "pairs": [[1, 1]]})
+    bad = _write(tmp_path / "b.json", {"kind": "unrealizable"})
+    code, out, _ = _run(capsys, ["merge", thr4_file, good, bad])
+    assert code == 0
+    assert json.loads(out)["encoding"] == {"kind": "unrealizable", "pairs": [[0, 0], [0, 1]]}
+
+
+def test_report_reads_a_record_list_and_its_own_output(tmp_path, thr4_file, capsys):
+    data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}, {"x": 2, "y": 0}]})
+    recs = []
+    for scheme in ("trivial", "merkle", "bounded"):
+        recs.append(tmp_path / f"{scheme}.json")
+        code, _, _ = _run(capsys, ["scheme", "run", "--scheme", scheme, "--class", thr4_file,
+                                   "--dataset", data, "--record", str(recs[-1])])
+        assert code == 0
+    first = tmp_path / "report.json"
+    code, _, _ = _run(capsys, ["report", *map(str, recs), "--out", str(first)])
+    assert code == 0
+    listed = _write(tmp_path / "list.json", [json.loads(r.read_text()) for r in recs[::-1]])
+    for source in (listed, str(first)):
+        again = tmp_path / "again.json"
+        code, _, _ = _run(capsys, ["report", source, "--out", str(again)])
+        assert code == 0 and again.read_bytes() == first.read_bytes()
+
+
+def test_scheme_run_chain_on_an_explicit_free_prefix_matrix(tmp_path, capsys):
+    rows = [[a >> i & 1 if i < 2 else 0 for i in range(4)] for a in range(4)]
+    generator = _write(tmp_path / "g.json", {"generator": {"kind": "tilu-ub", "d": 2, "domain_size": 4}})
+    matrix = _write(tmp_path / "m.json", {"domain": 4, "hypotheses": rows[::-1]})
+    extra = _write(tmp_path / "x.json", {"domain": 4, "hypotheses": rows + [[0, 0, 1, 0]]})
+    data = _write(
+        tmp_path / "d.json",
+        {"items": [{"x": 0, "y": 0}, {"x": 0, "y": 1}, {"x": 2, "y": 1}, {"x": 3, "y": 0}]},
+    )
+    queries = _write(tmp_path / "q.json", {"queries": [{"indices": [2, 3]}, {"indices": [1]}]})
+    runs = []
+    for cls in (generator, matrix, extra):
+        runs.append(_run(capsys, ["scheme", "run", "--scheme", "chain", "--class", cls,
+                                  "--dataset", data, "--queries", queries]))
+    (code_g, out_g, _), (code_m, out_m, _), (code_x, out_x, err_x) = runs
+    assert code_g == code_m == 0
+    doc_g, doc_m = json.loads(out_g), json.loads(out_m)
+    assert doc_g.pop("class") == "tilu-ub(d=2,domain=4)" and doc_m.pop("class") == "explicit(m=4,h=4)"
+    assert doc_g == doc_m and [a["answer"] for a in doc_g["answers"]] == ["yes", "no"]
+    assert code_x == 2 and out_x == "" and "tilu-ub" in err_x
+    # the generator stops at d=4; a matrix may free any prefix
+    rows = [[a >> i & 1 if i < 5 else 0 for i in range(6)] for a in range(32)]
+    wide = _write(tmp_path / "w.json", {"domain": 6, "hypotheses": rows})
+    code, out, _ = _run(capsys, ["scheme", "run", "--scheme", "chain", "--class", wide,
+                                 "--dataset", data, "--queries", queries])
+    doc = json.loads(out)  # point 2 is free now, so only point 0 blocks
+    assert code == 0 and doc["learn_answer"] == "no"
+    assert [a["answer"] for a in doc["answers"]] == ["yes", "yes"]
