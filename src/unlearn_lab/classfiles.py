@@ -12,7 +12,8 @@ Class files hold either an explicit label matrix or a generator spec:
 Dataset files are {"items": [{"x": id, "y": bit}, ...]} with the item id
 given by position (1-based). Query files are {"indices": [...]} for one
 query or {"queries": [{"indices": [...]}, ...]} for several. Rational
-coordinates may be integers or strings like "2/3".
+coordinates may be integers or strings like "2/3". Record files hold one
+run record, a list of records, or a report's {"records": [...]}.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def load_dataset(path, handle: ClassHandle | None = None) -> Dataset:
         raise FileFormatError(path, str(exc)) from None
     if handle is not None:
         m = handle.domain_size
-        for i, (x, y) in data.entries:
+        for i, (x, y) in data:
             if not (0 <= x < m):
                 raise FileFormatError(path, f"item {i} references point {x} outside domain of size {m}")
     return data
@@ -199,6 +200,31 @@ def load_queries(path, data: Dataset | None = None) -> list[frozenset[int]]:
                 raise FileFormatError(path, f"query {qi} references unknown items {sorted(unknown)}")
         out.append(frozenset(seen))
     return out
+
+
+def load_records(path) -> list[dict]:
+    """The run records of a file holding one record, a list of records or a report.
+
+    Every record must be an object, and the fields that `report.emit_report`
+    reads must have the types `report.make_record` writes: `n` and `k` an
+    integer or null, `bound` an object or null, `bound_ok` a boolean or null.
+    """
+    doc = _load_json(path)
+    if isinstance(doc, dict):
+        doc = doc["records"] if "records" in doc else [doc]
+    if not isinstance(doc, list):
+        raise FileFormatError(path, "expected a record, a list of records or an object with 'records'")
+    for pos, rec in enumerate(doc, start=1):
+        if not isinstance(rec, dict):
+            raise FileFormatError(path, f"record {pos} must be an object, got {json.dumps(rec)}")
+        for key in ("n", "k"):
+            if rec.get(key) is not None:
+                _json_int(rec[key], path, f"record {pos} {key!r}")
+        if not isinstance(rec.get("bound") or {}, dict):
+            raise FileFormatError(path, f"record {pos} 'bound' must be an object or null")
+        if rec.get("bound_ok") is not None and type(rec["bound_ok"]) is not bool:
+            raise FileFormatError(path, f"record {pos} 'bound_ok' must be a boolean or null")
+    return doc
 
 
 def encoding_to_json(enc: VsEncoding) -> dict:

@@ -274,15 +274,7 @@ def _cmd_lb_demo(args) -> int:
 def _cmd_report(args) -> int:
     records = []
     for path in args.records:
-        doc = classfiles._load_json(path)
-        if isinstance(doc, list):
-            records.extend(doc)
-        elif isinstance(doc, dict) and "records" in doc:
-            records.extend(doc["records"])
-        elif isinstance(doc, dict):
-            records.append(doc)
-        else:
-            raise FileFormatError(path, "expected a record or a list of records")
+        records.extend(classfiles.load_records(path))
     blob, table = report.emit_report(records)
     if args.out:
         Path(args.out).write_text(blob + "\n")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
+from operator import and_
 
 from .core import (
     ClassHandle,
@@ -203,9 +204,9 @@ class NodeStates:
             full = handle.full_mask
             self.empty = lambda: full
             self.leaves = lambda pairs: list(map(_LeafMasks(handle).__getitem__, pairs))
-            self.meet = int.__and__
+            self.meet = and_
             self.encode = partial(_canonical_from_mask, handle)
-            self.version_space = lambda masks: reduce(int.__and__, masks, full)
+            self.version_space = lambda masks: reduce(and_, masks, full)
         else:
             self.empty = partial(vs_encode, handle, ())
             self.leaves = lambda pairs: [vs_encode(handle, (p,)) for p in pairs]

@@ -10,7 +10,8 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
 from typing import Protocol, runtime_checkable
 
 Pair = tuple[int, int]
@@ -168,9 +169,18 @@ class Dataset:
     Each item carries a stable id. Fresh datasets number items 1..n by
     position; removal keeps the surviving items' original ids, which is
     what deletion-by-index semantics require.
+
+    A dataset holds one ordered dict from id to pair, in entry order;
+    `by_id` is a read-only view of it. `entries`, the (id, pair) tuple, is
+    built from that dict the first time it is read and then kept, so a
+    dataset that is only learned from, queried and removed from never
+    builds it. `remove` validates the query, copies the dict and deletes
+    the removed ids: it touches each survivor once, in C, and builds no
+    tuple. `len`, iteration, `pairs()` and `support()` read the dict
+    directly.
     """
 
-    __slots__ = ("entries", "_by_id", "_support")
+    __slots__ = ("_by_id", "_entries", "_support")
 
     def __init__(self, entries: Iterable[Entry]):
         ent = tuple((int(i), (int(x), int(y))) for i, (x, y) in entries)
@@ -183,16 +193,16 @@ class Dataset:
             if pair[1] not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
             by_id[i] = pair
-        self.entries: tuple[Entry, ...] = ent
         self._by_id = by_id
+        self._entries: tuple[Entry, ...] | None = ent
         self._support: Counter | None = None
 
     @classmethod
-    def _trusted(cls, entries: tuple[Entry, ...], by_id: dict[int, Pair]) -> "Dataset":
-        """A dataset of normalized entries whose ids are known to be valid."""
+    def _trusted(cls, by_id: dict[int, Pair]) -> "Dataset":
+        """A dataset over an id -> normalized pair dict whose ids are known to be valid."""
         out = cls.__new__(cls)
-        out.entries = entries
         out._by_id = by_id
+        out._entries = None
         out._support = None
         return out
 
@@ -201,17 +211,28 @@ class Dataset:
         norm = [(int(x), int(y)) for x, y in pairs]
         if not {y for _, y in norm} <= {0, 1}:
             raise ValueError("labels must be 0 or 1")
-        entries = tuple(zip(range(1, len(norm) + 1), norm))  # ids 1..n need no check
-        return cls._trusted(entries, dict(entries))
+        return cls._trusted(dict(zip(range(1, len(norm) + 1), norm)))  # ids 1..n need no check
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        """The (id, pair) entries in entry order, built on first read."""
+        if self._entries is None:
+            self._entries = tuple(self._by_id.items())
+        return self._entries
+
+    @property
+    def by_id(self) -> Mapping[int, Pair]:
+        """A read-only view of the id -> pair dict, in entry order."""
+        return MappingProxyType(self._by_id)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._by_id)
 
-    def __iter__(self):
-        return iter(self.entries)
+    def __iter__(self) -> Iterator[Entry]:
+        return iter(self._by_id.items())
 
     def __repr__(self) -> str:
-        return f"Dataset({list(self.entries)!r})"
+        return f"Dataset({list(self)!r})"
 
     def ids(self) -> frozenset[int]:
         return frozenset(self._by_id)
@@ -223,11 +244,11 @@ class Dataset:
             raise UnknownItemError(item_id) from None
 
     def pairs(self) -> tuple[Pair, ...]:
-        return tuple(pair for _, pair in self.entries)
+        return tuple(self._by_id.values())
 
     def support(self) -> Counter:
         if self._support is None:
-            self._support = Counter(pair for _, pair in self.entries)
+            self._support = Counter(self._by_id.values())
         return self._support
 
     def distinct_pairs(self) -> frozenset[Pair]:
@@ -239,7 +260,7 @@ class Dataset:
         by_id = self._by_id.copy()
         for i in idx:
             del by_id[i]
-        return Dataset._trusted(tuple(e for e in self.entries if e[0] not in idx), by_id)
+        return Dataset._trusted(by_id)
 
     def entries_for(self, indices: Iterable[int]) -> tuple[Entry, ...]:
         idx = validate_query(self, indices)

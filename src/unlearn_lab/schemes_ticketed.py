@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .compression import NodeStates, VsEncoding
 from .core import (
@@ -96,14 +95,10 @@ class TicketView(Mapping[int, Ticket]):
 
     def __contains__(self, item_id) -> bool:
         # Mapping's default would build the whole ticket and drop it
-        try:
-            self._data.pair(item_id)
-        except KeyError:
-            return False
-        return True
+        return item_id in self._data.by_id
 
     def __iter__(self) -> Iterator[int]:
-        return (i for i, _ in self._data.entries)
+        return iter(self._data.by_id)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -155,18 +150,19 @@ class _AggregationTreeScheme:
 
     def _learn_tree(self, data: Dataset) -> tuple[object, TicketView]:
         """The root's node state and the tickets of a tree over `data`."""
-        states = self.states
-        size = 1 << tree_depth(len(data))
+        states, by_id = self.states, data.by_id
+        size = 1 << tree_depth(len(by_id))
         # the leaf is the item id: an id above the padded size has no leaf
-        if data and max(map(itemgetter(0), data.entries)) > size:
+        if by_id and max(by_id) > size:
             raise IndexError(f"item id above the tree's {size} leaves")
         pad = states.empty()
-        level = states.leaves(map(itemgetter(1), data.entries))
+        level = states.leaves(by_id.values())
         level += [pad] * (size - len(level))
         levels = []
         while len(level) > 1:
             levels.append(level)
-            level = list(map(states.meet, level[::2], level[1::2]))
+            nodes = iter(level)  # map draws from it twice per call: siblings 2k, 2k+1
+            level = list(map(states.meet, nodes, nodes))
         return level[0], TicketView(data, levels, states.encode)
 
     def _survivor_space(self, deleted: Sequence[Entry], tickets: Mapping[int, Ticket]):
@@ -324,7 +320,7 @@ class ChainScheme:
             chain[1] if len(chain) > 1 else None,
         )
         tickets: dict[int, ChainTicket | None] = {}
-        for item_id, (x, _) in data.entries:
+        for item_id, (x, _) in data:
             pos = by_x.get(x)
             if pos is None:
                 tickets[item_id] = None

@@ -18,6 +18,7 @@ from unlearn_lab import (
     TicketError,
     TicketView,
     UnknownItemError,
+    as_oracle,
     count_bits,
     erm_lexmin,
     is_realizable,
@@ -412,6 +413,61 @@ def test_removed_dataset_equals_a_rebuilt_one():
         once.remove([3, 3])
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         Dataset.from_pairs([(0, 1), (1, 2)])
+
+
+def _slice_fold(leaves, pad, meet):
+    """Tree levels, leaves first and root last, each level the meet of the
+    even and odd slices of the level below."""
+    size = 1 << (max(len(leaves), 1) - 1).bit_length()
+    levels = [list(leaves) + [pad] * (size - len(leaves))]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        levels.append([meet(a, b) for a, b in zip(level[::2], level[1::2])])
+    return levels
+
+
+def _check_levels(scheme, data, levels):
+    """Every ticket's states are the sibling path of the reference levels."""
+    _, tickets = scheme._learn_tree(data)
+    for i in data.ids():
+        v, path = i - 1, []
+        for level in levels[:-1]:
+            path.append(level[v ^ 1])
+            v >>= 1
+        assert tickets[i].states == tuple(reversed(path)), (len(data), i)
+
+
+def test_learn_levels_equal_a_slice_fold_with_explicit_and():
+    rng = random.Random(1707)
+    for n in range(1, 41):
+        fc = random_finite_class(rng, max_m=6, max_h=16)
+        row = fc.hypotheses[rng.randrange(len(fc))]
+        xs = [rng.randrange(fc.domain_size) for _ in range(n)]
+        noisy = Dataset.from_pairs((x, rng.randint(0, 1)) for x in xs)
+        realizable = Dataset.from_pairs((x, row[x]) for x in xs)
+        for scheme, data in ((MerkleScheme(fc), noisy), (ErmMerkleScheme(fc), realizable)):
+            levels = _slice_fold(
+                [fc.vs_mask((p,)) for p in data.pairs()], fc.full_mask, lambda a, b: a & b
+            )
+            _check_levels(scheme, data, levels)
+            root = levels[-1][0]
+            erm = isinstance(scheme, ErmMerkleScheme)
+            assert scheme.learn(data)[0] == (min(fc.mask_to_indices(root)) if erm else bool(root))
+
+
+def test_oracle_learn_levels_equal_a_slice_fold_with_merge():
+    rng = random.Random(1708)
+    fc = random_finite_class(rng, max_m=6, max_h=16)
+    oracle = as_oracle(fc)
+    data = Dataset.from_pairs((rng.randrange(fc.domain_size), rng.randint(0, 1)) for _ in range(21))
+    levels = _slice_fold(
+        [vs_encode(oracle, (p,)) for p in data.pairs()],
+        vs_encode(oracle, ()),
+        lambda a, b: merge(oracle, a, b),
+    )
+    scheme = MerkleScheme(oracle)
+    _check_levels(scheme, data, levels)
+    assert scheme.learn(data)[0] == levels[-1][0].realizable
 
 
 def test_contradiction_does_not_skip_pair_validation():

@@ -738,3 +738,23 @@ def test_scheme_run_chain_on_an_explicit_free_prefix_matrix(tmp_path, capsys):
     doc = json.loads(out)  # point 2 is free now, so only point 0 blocks
     assert code == 0 and doc["learn_answer"] == "no"
     assert [a["answer"] for a in doc["answers"]] == ["yes", "yes"]
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"records": 5}, "expected a record"),
+        ([5], "record 1 must be an object"),
+        ({"records": {"scheme": "merkle"}}, "expected a record"),
+        ("merkle", "expected a record"),
+        ([{"scheme": "merkle", "n": 1}, {"n": "2"}], "record 2 'n'"),
+        ([{"k": 1.5}], "record 1 'k'"),
+        ([{"bound": 5}], "record 1 'bound'"),
+        ([{"bound_ok": 1}], "record 1 'bound_ok'"),
+    ],
+)
+def test_report_rejects_malformed_record_files(tmp_path, capsys, doc, where):
+    path = _write(tmp_path / "records.json", doc)
+    code, out, err = _run(capsys, ["report", path])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ") and where in err

@@ -76,6 +76,57 @@ def test_remove_one_of_two_copies():
     assert survivor.support()[(3, 1)] == 1
 
 
+def _same_as_plain_list(data, entries):
+    """`data` answers as a dataset rebuilt from the plain list `entries`, in entry order.
+
+    `entries` is read last, so a dataset that has never built it is
+    checked on its dict-backed reads first.
+    """
+    entries = list(entries)
+    rebuilt = Dataset(entries)
+    assert len(data) == len(rebuilt) == len(entries)
+    assert list(data) == list(rebuilt) == entries
+    assert data.pairs() == rebuilt.pairs() == tuple(p for _, p in entries)
+    assert data.support() == rebuilt.support()
+    assert data.ids() == rebuilt.ids() == frozenset(i for i, _ in entries)
+    for i, p in entries:
+        assert data.pair(i) == rebuilt.pair(i) == p
+    assert data.entries == rebuilt.entries == tuple(entries)
+
+
+def test_dataset_keeps_out_of_order_ids_in_entry_order():
+    entries = [(5, (0, 1)), (2, (1, 0)), (9, (0, 1)), (1, (2, 1)), (4, (0, 1))]
+    data = Dataset(entries)
+    _same_as_plain_list(data, entries)
+    _same_as_plain_list(data.remove([2, 9]), [entries[0], entries[3], entries[4]])
+    assert data.support() == {(0, 1): 3, (1, 0): 1, (2, 1): 1}
+
+
+def test_chained_removes_on_a_dataset_never_listed_equal_a_plain_list():
+    rng = random.Random(17)
+    pairs = [(rng.randrange(6), rng.randint(0, 1)) for _ in range(50)]
+    entries = list(enumerate(pairs, 1))
+    chain = [Dataset.from_pairs(pairs)]
+    for removed in ([3, 50, 17], [1, 2], [49, 4, 5, 6], [18]):
+        chain.append(chain[-1].remove(removed))
+        entries = [e for e in entries if e[0] not in removed]
+    _same_as_plain_list(chain[-1], entries)
+    _same_as_plain_list(chain[0], list(enumerate(pairs, 1)))
+    for removed, data in zip(([3, 50, 17], [1, 2], [49, 4, 5, 6]), chain[1:]):
+        assert removed[0] not in data.ids()
+        with pytest.raises(UnknownItemError):
+            data.remove(removed[:1])
+    _same_as_plain_list(chain[-1].remove([i for i, _ in entries]), [])
+
+
+def test_empty_dataset_equals_a_plain_empty_list():
+    for data in (Dataset([]), Dataset.from_pairs([]), Dataset([]).remove([])):
+        _same_as_plain_list(data, [])
+        assert not data and data.support() == {}
+    with pytest.raises(UnknownItemError):
+        Dataset([]).pair(1)
+
+
 def test_remove_unknown_index_errors():
     d = Dataset.from_pairs([(0, 1)])
     with pytest.raises(UnknownItemError):
