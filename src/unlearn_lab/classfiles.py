@@ -185,6 +185,7 @@ def load_queries(path, data: Dataset | None = None) -> list[frozenset[int]]:
         raw = [q.get("indices") if isinstance(q, dict) else q for q in doc["queries"]]
     else:
         raise FileFormatError(path, "query file needs 'indices' or 'queries'")
+    known = None if data is None else data.by_id
     out = []
     for qi, indices in enumerate(raw, start=1):
         if not isinstance(indices, list):
@@ -194,8 +195,9 @@ def load_queries(path, data: Dataset | None = None) -> list[frozenset[int]]:
             if _json_int(i, path, f"query {qi} index") in seen:
                 raise FileFormatError(path, f"query {qi} repeats index {i}")
             seen.add(i)
-        if data is not None:
-            unknown = seen - set(data.ids())
+        if known is not None:
+            # only the query's own ids, so q queries cost their sizes, not q times n
+            unknown = [i for i in seen if i not in known]
             if unknown:
                 raise FileFormatError(path, f"query {qi} references unknown items {sorted(unknown)}")
         out.append(frozenset(seen))

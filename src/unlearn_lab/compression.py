@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import accumulate
 from operator import and_
 
 from .core import (
@@ -121,9 +122,27 @@ def _canonical_from_mask(fc: FiniteClass, mask: int) -> VsEncoding:
                 "hypothesis subset is not the version space of any dataset"
             )
         # lexicographic-order prune, so the result is a function of the mask
-        enc = VsEncoding(True, tuple(star_prune(fc, agreed)))
+        enc = VsEncoding(True, _star_prune_masks(fc, agreed))
     fc._canon_cache[mask] = enc
     return enc
+
+
+def _star_prune_masks(fc: FiniteClass, agreed: list[Pair]) -> tuple[Pair, ...]:
+    """`star_prune(fc, agreed)` on masks, for distinct pairs already validated.
+
+    When pair i is asked, the pairs before it that star_prune kept and
+    every pair after it are still in; `after[i]` is the AND of the masks
+    from pair i on. So each pair costs one AND and no pair is checked again.
+    """
+    masks = [fc.pair_mask(x, y) for x, y in agreed]
+    after = list(accumulate(reversed(masks), and_, initial=fc.full_mask))[::-1]
+    kept: list[Pair] = []
+    before = fc.full_mask
+    for (x, y), mask, rest in zip(agreed, masks, after[1:]):
+        if before & rest & fc.pair_mask(x, 1 - y):
+            kept.append((x, y))
+            before &= mask
+    return tuple(kept)
 
 
 def canonical_dataset(fc: FiniteClass, vs: Iterable[int]) -> VsEncoding:

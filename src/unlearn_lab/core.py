@@ -300,7 +300,11 @@ def is_realizable(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> bool:
     holds both labels of some point. Oracle failures propagate as
     OracleError.
     """
-    pairs = support_pairs(data)
+    return _realizable_support(handle, support_pairs(data))
+
+
+def _realizable_support(handle: ClassHandle, pairs: frozenset[Pair]) -> bool:
+    """`is_realizable` on a support that `support_pairs` already normalised."""
     if any((x, 1 - y) in pairs for x, y in pairs):
         for pair in pairs:
             _check_pair(pair, handle.domain_size)

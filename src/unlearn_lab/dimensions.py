@@ -6,7 +6,11 @@ witness that the matching verifier accepts. VC, star, hollow star,
 eluder and Littlestone run on one search engine over the support lattice
 (`_Lattice`) and so over any realizability oracle; eluder and Littlestone
 share one split recursion and its memo. Only the identification set needs
-an explicit hypothesis list.
+an explicit hypothesis list. Lattice states are ints on every handle:
+version-space masks on a finite class, pair bitmasks (bit 2x+y for the
+pair (x, y)) on an oracle, met with a builtin `&` or `|`. An oracle is
+asked once per distinct support, with a frozenset of pairs built only
+then.
 
 Every search but Littlestone's takes a cap of at least 0 and returns the
 CAP_EXCEEDED sentinel when a witness larger than the cap exists: of size
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import and_
+from operator import and_, or_
 from typing import Iterable
 
 from .core import ClassHandle, FiniteClass, Pair, _check_pair, is_realizable
@@ -38,15 +42,18 @@ DimValue = int | str  # a natural or the CAP_EXCEEDED sentinel
 
 
 class _Lattice:
-    """The support lattice of one search: opaque states, a meet and a test.
+    """The support lattice of one search: int states, a builtin meet and a test.
 
     `top` is the state of the empty support, `pairs[x][y]` the state of
     {(x, y)}, `meet(a, b)` the state of the union of two supports and
     `ok(s)` whether its support is realizable. For a FiniteClass a state
     is a version-space mask: the meet is `&`, `ok` is `!= 0`, and every
     support with the same version space is one state. For an oracle a
-    state is the support itself, the meet is union, and `ok` memoizes the
-    oracle's answers, so searches that share a lattice share its queries.
+    state is the support's pair bitmask, with bit 2x+y for the pair
+    (x, y): `top` is 0, the meet is `|`, and `ok` memoizes the oracle's
+    answers on the mask, so searches that share a lattice share its
+    queries. Only a support the memo has not seen is built as a frozenset
+    of pairs and asked.
     """
 
     __slots__ = ("m", "top", "pairs", "meet", "ok")
@@ -62,23 +69,32 @@ class _Lattice:
             self.meet = and_
             self.ok = bool
         else:
-            self.top = frozenset()
-            self.pairs = tuple((frozenset({(x, 0)}), frozenset({(x, 1)})) for x in range(m))
-            self.meet = frozenset.union
-            self.ok = _memoized(handle)
+            self.top = 0
+            self.pairs = tuple((1 << 2 * x, 2 << 2 * x) for x in range(m))
+            self.meet = or_
+            self.ok = _memoized(handle, m)
 
 
-def _memoized(handle: ClassHandle):
-    """The oracle's answers, memoized; a support holding both labels of a
-    point is unrealizable without a call."""
-    memo: dict[frozenset[Pair], bool] = {}
+def _memoized(handle: ClassHandle, m: int):
+    """The oracle's answers on pair bitmasks over m points, memoized; a
+    support holding both labels of a point is unrealizable without a call."""
+    memo: dict[int, bool] = {}
+    even = int("01" * m, 2)  # bit 2x: label 0 of point x
+    bit_pairs = [(b >> 1, b & 1) for b in range(2 * m)]
 
-    def ok(pairs: frozenset[Pair]) -> bool:
-        cached = memo.get(pairs)
+    def ok(state: int) -> bool:
+        cached = memo.get(state)
         if cached is None:
-            cached = memo[pairs] = not any(
-                (x, 1 - y) in pairs for x, y in pairs
-            ) and handle.is_realizable_pairs(pairs)
+            if state & (state >> 1) & even:
+                cached = False
+            else:
+                pairs, rest = [], state
+                while rest:  # one step per set bit, lowest first
+                    low = rest & -rest
+                    pairs.append(bit_pairs[low.bit_length() - 1])
+                    rest ^= low
+                cached = handle.is_realizable_pairs(frozenset(pairs))
+            memo[state] = cached
         return cached
 
     return ok

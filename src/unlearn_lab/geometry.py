@@ -15,7 +15,9 @@ separator FM returns is recorded as the set of domain points strictly on
 either side of it, and a support that some recorded labeling agrees with
 is realizable without a solve. A support is also unrealizable if some
 one-pair-smaller subset is. Such answers run no FM and so never reach the
-row cap.
+row cap. Answers are memoized per support, and a frozenset is looked up
+in the memo as given, before it is normalised to int pairs and validated,
+so a support asked again costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -279,7 +281,9 @@ def halfspace_family_dataset(d: int, k: int, subsets: Iterable[Sequence[int]]) -
 class HalfspaceOracle:
     """Realizability oracle: strict separability over a fixed point list.
 
-    Answers are memoized per support. Every separator Fourier-Motzkin
+    Answers are memoized per support, keyed on validated frozensets of
+    int pairs; a frozenset is looked up as given before it is normalised
+    (see `is_realizable_pairs`). Every separator Fourier-Motzkin
     returns is checked in integers and then recorded as a labeling: the
     points strictly on its label-1 side and those strictly on its label-0
     side (points on the hyperplane are on neither). Labeling i sets bit i
@@ -340,6 +344,19 @@ class HalfspaceOracle:
                 self._agree[2 * x + (sign > 0)] |= bit
 
     def is_realizable_pairs(self, pairs: Iterable[Pair]) -> bool:
+        """Whether some halfspace puts every (point, label) pair on its side.
+
+        A frozenset is looked up in the memo as given, before it is
+        normalised: every memo key is a validated set of int pairs, and
+        a frozenset equal to one (say, holding `True` or `Fraction(2)`
+        for 1 or 2) normalises to that key and has its answer. Any other
+        support is normalised and validated first, so an out-of-domain
+        support raises ValueError however often it is asked.
+        """
+        if type(pairs) is frozenset:
+            hit = self._memo.get(pairs)
+            if hit is not None:
+                return hit
         fs = frozenset((int(x), int(y)) for x, y in pairs)
         hit = self._memo.get(fs)
         if hit is not None:

@@ -22,6 +22,7 @@ from .core import (
     Dataset,
     Entry,
     Pair,
+    _realizable_support,
     count_bits,
     dataset_bits,
     distinct_ids,
@@ -80,27 +81,29 @@ def minimal_unrealizable_core(
     single-pair removal of it is realizable, and its size is at most the
     hollow star number.
     """
-    core = sorted(support_pairs(data))
-    if is_realizable(handle, core):
+    return _greedy_core(handle, support_pairs(data))
+
+
+def _greedy_core(handle: ClassHandle, support: frozenset[Pair]) -> tuple[Pair, ...]:
+    # The support is normalised once; each question is a set difference of it.
+    if _realizable_support(handle, support):
         raise PreconditionError("core extraction needs an unrealizable support")
-    i = 0
-    while i < len(core):
-        rest = core[:i] + core[i + 1 :]
-        if not is_realizable(handle, rest):
+    core = support
+    for pair in sorted(support):
+        rest = core - {pair}
+        if not _realizable_support(handle, rest):
             core = rest
-        else:
-            i += 1
-    return tuple(core)
+    return tuple(sorted(core))
 
 
 def _is_critical(
     handle: ClassHandle, support: frozenset[Pair], removal: frozenset[Pair]
 ) -> bool:
-    if not removal or not is_realizable(handle, support - removal):
+    if not removal or not _realizable_support(handle, support - removal):
         return False
     # if every one-pair-smaller removal fails, all smaller ones do too
     for pair in removal:
-        if is_realizable(handle, support - (removal - {pair})):
+        if _realizable_support(handle, support - (removal - {pair})):
             return False
     return True
 
@@ -113,20 +116,20 @@ def enumerate_critical_sets(
     Searches prefixes breadth-first, branching only on the greedy core of
     the current survivor: any completion of a prefix to a critical set
     must delete some core pair, so the search is exhaustive while visiting
-    at most hollow_star**k prefixes per level.
+    at most hollow_star**k prefixes per level. The support is normalised
+    once, and every support asked about is a difference of it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     support = support_pairs(data)
-    if is_realizable(handle, support):
+    if _realizable_support(handle, support):
         raise PreconditionError("critical sets are defined for unrealizable data")
     core_memo: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 
     def core_of(removed: frozenset[Pair]) -> tuple[Pair, ...]:
         hit = core_memo.get(removed)
         if hit is None:
-            hit = minimal_unrealizable_core(handle, support - removed)
-            core_memo[removed] = hit
+            hit = core_memo[removed] = _greedy_core(handle, support - removed)
         return hit
 
     found: set[frozenset[Pair]] = set()
@@ -138,7 +141,7 @@ def enumerate_critical_sets(
                 cand = prefix | {pair}
                 if cand in found or cand in nxt:
                     continue
-                if is_realizable(handle, support - cand):
+                if _realizable_support(handle, support - cand):
                     if _is_critical(handle, support, cand):
                         found.add(cand)
                 else:

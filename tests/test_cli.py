@@ -5,6 +5,7 @@ import json
 import pytest
 
 from unlearn_lab import (
+    Dataset,
     HalfspaceOracle,
     compute_dims,
     eluder_lb_instance,
@@ -12,7 +13,7 @@ from unlearn_lab import (
     thresholds_1d,
     vs_encode,
 )
-from unlearn_lab.classfiles import encoding_to_json
+from unlearn_lab.classfiles import FileFormatError, encoding_to_json, load_queries
 from unlearn_lab.cli import _build_instance, main
 
 
@@ -278,6 +279,16 @@ def test_query_unknown_item_exits_1(tmp_path, thr4_file, capsys):
          "--dataset", data, "--queries", queries],
     )
     assert code == 1 and "unknown items" in err
+
+
+def test_load_queries_names_the_unknown_ids_of_a_later_query(tmp_path):
+    # ids 1 and 3 survive; 2 was deleted, so it is unknown like 9
+    data = Dataset.from_pairs([(0, 1), (1, 0), (2, 1)]).remove([2])
+    doc = {"queries": [{"indices": [3, 1]}, {"indices": [1]}, {"indices": [9, 3, 2]}]}
+    path = _write(tmp_path / "q.json", doc)
+    with pytest.raises(FileFormatError, match=r"query 3 references unknown items \[2, 9\]"):
+        load_queries(path, data)
+    assert load_queries(path) == [frozenset({1, 3}), frozenset({1}), frozenset({2, 3, 9})]
 
 
 # The full `scheme run` output of the tree schemes on thresholds(m=4),

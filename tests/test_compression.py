@@ -92,6 +92,26 @@ def test_canonical_dataset_rejects_non_version_space(thr4):
         canonical_dataset(thr4, {0, 3})
 
 
+def test_canonical_pruning_on_masks_matches_star_prune():
+    # every version space of each class: the ANDs of its single-pair masks
+    rng = random.Random(34)
+    for _ in range(60):
+        fc = random_finite_class(rng, max_m=6, max_h=24)
+        full, m = fc.full_mask, fc.domain_size
+        spaces = {full}
+        for x in range(m):
+            spaces |= {s & fc.pair_mask(x, y) for s in spaces for y in (0, 1)}
+        for mask in spaces - {0}:
+            agreed = [
+                (x, y)
+                for x in range(m)
+                for y in (0, 1)
+                if fc.pair_mask(x, y) != full and mask & fc.pair_mask(x, y) == mask
+            ]
+            got = canonical_dataset(fc, fc.mask_to_indices(mask))
+            assert got == VsEncoding(True, tuple(star_prune(fc, agreed))), (fc.hypotheses, mask)
+
+
 def test_merge_examples(thr4):
     e1 = vs_encode(thr4, [(3, 1)])
     e2 = vs_encode(thr4, [(2, 1)])

@@ -4,7 +4,7 @@ import gc
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from unlearn_lab import (
     compute_dims,
     eluder_dimension,
     hollow_star_number,
+    is_realizable,
     littlestone_dimension,
     min_identification_set,
     parity_class,
@@ -365,13 +366,55 @@ def test_pinned_reports():
 def test_finite_and_oracle_paths_agree_on_values_and_witnesses():
     rng = random.Random(24)
     keys = ("vc", "littlestone", "star", "hollow_star", "eluder")
-    for _ in range(100):
-        fc = random_finite_class(rng, max_m=6, max_h=16)
+    classes = [random_finite_class(rng, max_m=6, max_h=16) for _ in range(100)]
+    # 7 and 8 points put pair bits up to 15 into the oracle's lattice states
+    classes += [
+        FiniteClass(m, _distinct_rows(rng.randrange(1 << 30), m, rng.randint(8, 40)))
+        for m in (7, 7, 8, 8)
+    ]
+    for fc in classes:
         for cap in (1, 2, fc.domain_size + 1):
             fin = compute_dims(fc, cap=cap)
             orc = compute_dims(as_oracle(fc), cap=cap)
             assert [getattr(fin, k) for k in keys] == [getattr(orc, k) for k in keys]
             assert [fin.witnesses[k] for k in keys] == [orc.witnesses[k] for k in keys]
+
+
+def test_oracle_lattice_states_are_pair_bitmasks():
+    class Recording:
+        def __init__(self, fc):
+            self.fc = fc
+            self.domain_size = fc.domain_size
+            self.asked = []
+
+        def is_realizable_pairs(self, pairs):
+            self.asked.append(pairs)
+            return self.fc.is_realizable_pairs(pairs)
+
+    rng = random.Random(27)
+    for _ in range(20):
+        fc = random_finite_class(rng, max_m=5, max_h=12)
+        m = fc.domain_size
+        handle = Recording(fc)
+        lat = _Lattice(handle)
+        assert lat.top == 0
+        assert lat.pairs == tuple((1 << 2 * x, 1 << 2 * x + 1) for x in range(m))
+        # every support, holding neither, one or both labels of each point
+        for labels in product(((), (0,), (1,), (0, 1)), repeat=m):
+            support = [(x, y) for x, ys in enumerate(labels) for y in ys]
+            state = lat.top
+            for x, y in support:
+                state = lat.meet(state, lat.pairs[x][y])
+            assert state == sum(1 << 2 * x + y for x, y in support)
+            for _ in range(2):
+                assert lat.ok(state) == is_realizable(fc, support)
+        # each support without both labels of a point asked once, as a frozenset of pairs
+        assert len(handle.asked) == 3**m
+        assert set(handle.asked) == {
+            frozenset((x, y) for x, y in zip(range(m), labels) if y is not None)
+            for labels in product((None, 0, 1), repeat=m)
+        }
+        assert all(type(fs) is frozenset for fs in handle.asked)
 
 
 def test_verifiers_reject_out_of_domain_pairs():

@@ -293,6 +293,29 @@ def test_is_realizable_pairs_rejects_bad_pairs():
     assert oracle.is_realizable_pairs([(0, 0), (2, 1)])
 
 
+def test_memo_lookup_of_unnormalised_frozensets(monkeypatch):
+    state = _count_fm_solves(monkeypatch)
+    oracle = HalfspaceOracle([(0,), (1,), (2,)])
+    assert not oracle.is_realizable_pairs(frozenset({(0, 1), (1, 0), (2, 1)}))
+    assert oracle.is_realizable_pairs(frozenset({(0, 0), (2, 1)}))
+    solves = state["solves"]
+    # equal to a memo key, so answered from the memo as its normal form
+    assert not oracle.is_realizable_pairs(frozenset({(0, True), (True, 0), (Fraction(2), 1)}))
+    assert oracle.is_realizable_pairs(frozenset({(False, 0), (Fraction(2), True)}))
+    assert state["solves"] == solves
+    # not in the memo: normalised, then answered like the int pairs
+    assert oracle.is_realizable_pairs(frozenset({(True, 0), (Fraction(2), 1)}))
+    assert not oracle.is_realizable_pairs(frozenset({(Fraction(1), 1), (True, False)}))
+    # never memoized, so asked again it is validated again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside domain"):
+            oracle.is_realizable_pairs(frozenset({(0, 0), (3, 1)}))
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            oracle.is_realizable_pairs(frozenset({(0, 2)}))
+    assert all(type(x) is int and type(y) is int for fs in oracle._memo for x, y in fs)
+    assert len(oracle._memo) == 4
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_oracle_reuse_matches_bruteforce_on_walks(monkeypatch, d):
     state = _count_fm_solves(monkeypatch)
