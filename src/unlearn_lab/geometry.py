@@ -17,7 +17,8 @@ is realizable without a solve. A support is also unrealizable if some
 one-pair-smaller subset is. Such answers run no FM and so never reach the
 row cap. Answers are memoized per support, and a frozenset is looked up
 in the memo as given, before it is normalised to int pairs and validated,
-so a support asked again costs one dict lookup.
+so a support asked again costs one dict lookup; a missed frozenset that
+already holds exact int pairs is validated but not rebuilt.
 """
 
 from __future__ import annotations
@@ -278,6 +279,10 @@ def halfspace_family_dataset(d: int, k: int, subsets: Iterable[Sequence[int]]) -
     return Dataset.from_pairs(pairs)
 
 
+def _is_int_pair(pair) -> bool:
+    return type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
+
+
 class HalfspaceOracle:
     """Realizability oracle: strict separability over a fixed point list.
 
@@ -349,22 +354,28 @@ class HalfspaceOracle:
         A frozenset is looked up in the memo as given, before it is
         normalised: every memo key is a validated set of int pairs, and
         a frozenset equal to one (say, holding `True` or `Fraction(2)`
-        for 1 or 2) normalises to that key and has its answer. Any other
-        support is normalised and validated first, so an out-of-domain
-        support raises ValueError however often it is asked.
+        for 1 or 2) normalises to that key and has its answer. On a miss
+        a frozenset of exact int pairs is used as it is; any other
+        support is normalised to one and looked up again. Every miss is
+        validated, so an out-of-domain support raises ValueError however
+        often it is asked.
         """
+        memo, fs = self._memo, None
         if type(pairs) is frozenset:
-            hit = self._memo.get(pairs)
+            hit = memo.get(pairs)
             if hit is not None:
                 return hit
-        fs = frozenset((int(x), int(y)) for x, y in pairs)
-        hit = self._memo.get(fs)
-        if hit is not None:
-            return hit
+            if all(map(_is_int_pair, pairs)):
+                fs = pairs
+        if fs is None:
+            fs = frozenset((int(x), int(y)) for x, y in pairs)
+            hit = memo.get(fs)
+            if hit is not None:
+                return hit
         for pair in fs:
             _check_pair(pair, self.domain_size)
         result = self._decide(fs)
-        self._memo[fs] = result
+        memo[fs] = result
         return result
 
     def _decide(self, fs: frozenset[Pair]) -> bool:

@@ -615,3 +615,168 @@ def test_split_recursion_matches_set_references():
             rep = compute_dims(handle, cap=fc.domain_size)
             assert (rep.eluder, rep.littlestone) == (eluder, littlestone)
             assert verify_littlestone_tree(handle, rep.witnesses["littlestone"], littlestone)
+
+
+# Unbounded references for the searches that stop at a proven bound: each
+# walks every candidate its search would, with no bound, on a fresh lattice.
+
+
+def _reference_star_sets(lat):
+    """Every star set in the order of a depth-first walk over point-sorted
+    extensions (star sets are downward closed, so the walk meets them all)."""
+    out = []
+
+    def extend(cand, state, flips, next_x):
+        for x in range(next_x, lat.m):
+            for y in (0, 1):
+                grown = lat.meet(state, lat.pairs[x][y])
+                grown_flips = [lat.meet(f, lat.pairs[x][y]) for f in flips]
+                grown_flips.append(lat.meet(state, lat.pairs[x][1 - y]))
+                if lat.ok(grown) and all(map(lat.ok, grown_flips)):
+                    star = cand + ((x, y),)
+                    out.append(star)
+                    extend(star, grown, grown_flips, x + 1)
+
+    extend((), lat.top, [], 0)
+    return out
+
+
+def _reference_star(sets, cap):
+    """The first star set of cap+1 pairs, else the first largest one."""
+    over = next((s for s in sets if len(s) == cap + 1), None)
+    if over is not None:
+        return CAP_EXCEEDED, over
+    best = max(sets, key=len, default=())
+    return len(best), best
+
+
+def _reference_shattered(lat):
+    """The lexicographically first shattered set of each size, upward from 0
+    until a size has none."""
+    firsts = [()]
+    while True:
+        k = len(firsts)
+        found = next(
+            (
+                pts
+                for pts in combinations(range(lat.m), k)
+                if all(
+                    lat.ok(_meet_all(lat, zip(pts, labels)))
+                    for labels in product((0, 1), repeat=k)
+                )
+            ),
+            None,
+        )
+        if found is None:
+            return firsts
+        firsts.append(found)
+
+
+def _reference_vc(firsts, cap):
+    vc = len(firsts) - 1
+    return (CAP_EXCEEDED, firsts[cap + 1]) if vc > cap else (vc, firsts[vc])
+
+
+def _meet_all(lat, pairs):
+    state = lat.top
+    for x, y in pairs:
+        state = lat.meet(state, lat.pairs[x][y])
+    return state
+
+
+def _reference_split(lat):
+    """Eluder value and sequence, Littlestone value and tree, from the split
+    recursion with every splitting point of every state walked."""
+    memo = {}
+
+    def children(state):
+        for x, (p0, p1) in enumerate(lat.pairs):
+            s0, s1 = lat.meet(state, p0), lat.meet(state, p1)
+            if lat.ok(s0) and lat.ok(s1):
+                yield x, s0, s1
+
+    def depths(state):
+        if state not in memo:
+            best, move, ldim = 0, None, 0
+            for x, s0, s1 in children(state):
+                (e0, _, l0), (e1, _, l1) = depths(s0), depths(s1)
+                if 1 + e0 > best:
+                    best, move = 1 + e0, (x, 0)
+                if 1 + e1 > best:
+                    best, move = 1 + e1, (x, 1)
+                ldim = max(ldim, 1 + min(l0, l1))
+            memo[state] = (best, move, ldim)
+        return memo[state]
+
+    def tree(state, depth):
+        if depth == 0:
+            return None
+        for x, s0, s1 in children(state):
+            if min(memo[s0][2], memo[s1][2]) >= depth - 1:
+                return (x, tree(s0, depth - 1), tree(s1, depth - 1))
+        raise AssertionError("no splitting point at positive remaining depth")
+
+    eluder, _, ldim = depths(lat.top)
+    seq, state = [], lat.top
+    while (move := memo[state][1]) is not None:
+        seq.append(move)
+        state = lat.meet(state, lat.pairs[move[0]][move[1]])
+    return eluder, tuple(seq), ldim, tree(lat.top, ldim)
+
+
+def _check_against_references(handle, caps_to_try):
+    fresh = _Lattice(handle)
+    star_sets = _reference_star_sets(fresh)
+    firsts = _reference_shattered(fresh)
+    eluder, seq, ldim, tree = _reference_split(fresh)
+    for cap in caps_to_try:
+        rep = compute_dims(handle, cap=cap)
+        caps = rep.caps
+        want = {
+            "vc": _reference_vc(firsts, caps["vc"]),
+            "littlestone": (ldim, tree),
+            "star": _reference_star(star_sets, caps["star"]),
+            "hollow_star": _reference_hollow(handle, caps["hollow_star"]),
+            "eluder": (
+                (CAP_EXCEEDED, seq[: caps["eluder"] + 1]) if eluder > caps["eluder"] else (eluder, seq)
+            ),
+        }
+        got = {k: (getattr(rep, k), rep.witnesses[k]) for k in want}
+        assert got == want, (handle, cap)
+
+
+def test_bounded_searches_match_unbounded_references():
+    rng = random.Random(26)
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        rows = _distinct_rows(rng.randrange(1 << 30), m, rng.randint(1, min(1 << m, 40)))
+        _check_against_references(FiniteClass(m, rows), (None, 0, 1, 2, 3))
+    planar = [(0, 0), (3, 0), (0, 2), (2, 3), (1, 1)]
+    for points in (PINNED_HALFSPACE_POINTS, planar):
+        oracle = HalfspaceOracle([tuple(Fraction(c) for c in p) for p in points])
+        _check_against_references(oracle, range(5))
+    _check_against_references(HalfspaceOracle(simplex_face_domain(4, 2)), (3,))
+
+
+def _forced_by_rows(fc):
+    """Points where some two hypotheses differ and nowhere else, from the rows."""
+    return {
+        diff[0]
+        for a, b in combinations(fc.hypotheses, 2)
+        if len(diff := [x for x in range(fc.domain_size) if a[x] != b[x]]) == 1
+    }
+
+
+def test_identification_sets_hold_every_forced_point():
+    # every threshold point is forced: the thresholds at it and after it differ only there
+    assert min_identification_set(thresholds_1d(24)) == tuple(range(24))
+    rng = random.Random(5)
+    forced_somewhere = 0
+    for _ in range(300):
+        fc = random_finite_class(rng, 9, 40)
+        forced = _forced_by_rows(fc)
+        witness = min_identification_set(fc)
+        assert forced <= set(witness), fc.hypotheses
+        assert verify_identification_set(fc, witness)
+        forced_somewhere += bool(forced)
+    assert forced_somewhere > 0

@@ -316,6 +316,30 @@ def test_memo_lookup_of_unnormalised_frozensets(monkeypatch):
     assert len(oracle._memo) == 4
 
 
+def test_missed_frozensets_of_int_pairs_are_memoized_as_given():
+    oracle = HalfspaceOracle([(0,), (1,), (2,)])
+    exact = frozenset({(0, 0), (2, 1)})
+    mixed = frozenset({(1, True), (Fraction(2), 0)})
+    assert oracle.is_realizable_pairs(exact)
+    assert oracle.is_realizable_pairs(mixed)
+    # the exact support is the key itself; the other is rebuilt into int pairs
+    assert any(key is exact for key in oracle._memo)
+    assert not any(key is mixed for key in oracle._memo)
+    assert frozenset({(1, 1), (2, 0)}) in oracle._memo
+    # a subclass of int (bool) or a subclass of tuple is not an exact int pair
+    for odd in (frozenset({(False, 0)}), frozenset({_Pair(0, 1)})):
+        oracle.is_realizable_pairs(odd)
+        assert not any(key is odd for key in oracle._memo)
+    assert all(
+        type(p) is tuple and type(p[0]) is int and type(p[1]) is int for fs in oracle._memo for p in fs
+    )
+
+
+class _Pair(tuple):
+    def __new__(cls, x, y):
+        return super().__new__(cls, (x, y))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_oracle_reuse_matches_bruteforce_on_walks(monkeypatch, d):
     state = _count_fm_solves(monkeypatch)
