@@ -304,8 +304,12 @@ def is_realizable(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> bool:
 
 
 def _realizable_support(handle: ClassHandle, pairs: frozenset[Pair]) -> bool:
-    """`is_realizable` on a support that `support_pairs` already normalised."""
-    if any((x, 1 - y) in pairs for x, y in pairs):
+    """`is_realizable` on a support that `support_pairs` already normalised.
+
+    A support with two pairs on one point holds both of its labels, or an
+    invalid one, which the validation below raises.
+    """
+    if len({x for x, _ in pairs}) != len(pairs):
         for pair in pairs:
             _check_pair(pair, handle.domain_size)
         return False

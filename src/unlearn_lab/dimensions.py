@@ -31,8 +31,11 @@ first:
 - split recursion: a state stops splitting once both depths reach its
   ceilings. For a version space V these are |V|-1 (each split leaves two
   non-empty parts) and floor(log2 |V|) (a complete depth-d tree needs
-  2^d hypotheses); for a pair bitmask both are its unlabeled points
-  (only those split, and each split labels one).
+  2^d hypotheses); for a pair bitmask both are its u unlabeled points
+  (only those split, and each split labels one). Littlestone depth u
+  needs the state to shatter those points, and then its first split
+  already gives u; so once one split has been read below u, u-1 is the
+  Littlestone ceiling.
 - VC: a shattered set of k points, split in order along every path, is
   a complete depth-k mistake tree, so given the Littlestone dimension no
   larger size is tried.
@@ -78,7 +81,8 @@ class _Lattice:
     answers on the mask, so searches that share a lattice share its
     queries. Only a support the memo has not seen is built as a frozenset
     of pairs and asked. `ceilings(s)` bounds the eluder and Littlestone
-    depths below a realizable state.
+    depths below a realizable state, and third the Littlestone depth once
+    one split of the state has read less than the second bound.
     """
 
     __slots__ = ("m", "top", "pairs", "meet", "ok", "ceilings")
@@ -102,19 +106,21 @@ class _Lattice:
             self.ceilings = _free_ceilings(m)
 
 
-def _version_ceilings(mask: int) -> tuple[int, int]:
-    """|V|-1 and floor(log2 |V|) for a non-empty version space V."""
+def _version_ceilings(mask: int) -> tuple[int, int, int]:
+    """|V|-1 and floor(log2 |V|) (twice) for a non-empty version space V."""
     size = mask.bit_count()
-    return size - 1, size.bit_length() - 1
+    log = size.bit_length() - 1
+    return size - 1, log, log
 
 
 def _free_ceilings(m: int):
-    """Both ceilings of a pair bitmask over m points: its unlabeled points."""
+    """The ceilings of a pair bitmask over m points: its u unlabeled points
+    for both depths, and u-1 for Littlestone once a split has read less."""
     even = int("01" * m, 2)
 
-    def ceilings(state: int) -> tuple[int, int]:
+    def ceilings(state: int) -> tuple[int, int, int]:
         free = m - ((state | state >> 1) & even).bit_count()
-        return free, free
+        return free, free, free - 1
 
     return ceilings
 
@@ -330,12 +336,13 @@ def _split_depths(lat: _Lattice, memo: dict, state) -> tuple[int, Pair | None, i
     # state, so the memo is keyed on it. No point can recur along a path
     # (once constrained, it never splits again), so both depths are <= m.
     # Once both depths reach the state's ceilings, no later point can
-    # raise either, nor change the first deepest move.
+    # raise either, nor change the first deepest move. After the first
+    # split the Littlestone ceiling is the third value of `ceilings`.
     hit = memo.get(state)
     if hit is not None:
         return hit
     meet, ok = lat.meet, lat.ok
-    e_ceil, l_ceil = lat.ceilings(state)
+    e_ceil, l_ceil, l_split = lat.ceilings(state)
     best, move, ldim = 0, None, 0
     for x, (p0, p1) in enumerate(lat.pairs):
         if best >= e_ceil and ldim >= l_ceil:
@@ -349,6 +356,7 @@ def _split_depths(lat: _Lattice, memo: dict, state) -> tuple[int, Pair | None, i
             if 1 + e1 > best:
                 best, move = 1 + e1, (x, 1)
             ldim = max(ldim, 1 + min(l0, l1))
+            l_ceil = l_split
     hit = memo[state] = (best, move, ldim)
     return hit
 

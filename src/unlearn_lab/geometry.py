@@ -11,9 +11,10 @@ constructions of interest sit at margins around 1/d, where rounding
 would misclassify.
 
 HalfspaceOracle indexes the labelings its separators give: each
-separator FM returns is recorded as the set of domain points strictly on
-either side of it, and a support that some recorded labeling agrees with
-is realizable without a solve. A support is also unrealizable if some
+separator FM returns is recorded as full labelings of the domain (the
+points on its hyperplane all on label 1 in one, all on label 0 in the
+other), and a support that some recorded labeling agrees with is
+realizable without a solve. A support is also unrealizable if some
 one-pair-smaller subset is. Such answers run no FM and so never reach the
 row cap. Answers are memoized per support, and a frozenset is looked up
 in the memo as given, before it is normalised to int pairs and validated,
@@ -289,14 +290,13 @@ class HalfspaceOracle:
     Answers are memoized per support, keyed on validated frozensets of
     int pairs; a frozenset is looked up as given before it is normalised
     (see `is_realizable_pairs`). Every separator Fourier-Motzkin
-    returns is checked in integers and then recorded as a labeling: the
-    points strictly on its label-1 side and those strictly on its label-0
-    side (points on the hyperplane are on neither). Labeling i sets bit i
-    of `_agree[2*x + y]` for every point x strictly on side y, so a support
-    is realizable if the AND of `_agree` over its pairs is non-zero: some
-    recorded separator puts every pair strictly on its side. Otherwise the
-    support is unrealizable if some one-pair-smaller subset is known to be
-    (a superset of an unrealizable set is unrealizable). Only when neither
+    returns is checked in integers and then recorded as full labelings of
+    the domain (see `_record`). Labeling i sets bit i of `_agree[2*x + y]`
+    for every point x it labels y, so a support is realizable if the AND
+    of `_agree` over its pairs is non-zero: some recorded labeling, and so
+    some halfspace, agrees with every pair. Otherwise the support is
+    unrealizable if some one-pair-smaller subset is known to be (a
+    superset of an unrealizable set is unrealizable). Only when neither
     rule answers does Fourier-Motzkin run, so an indexed answer never
     reaches `row_cap`. Each point is converted to integers on its first
     query.
@@ -314,9 +314,9 @@ class HalfspaceOracle:
         self.row_cap = row_cap
         self._memo: dict[frozenset[Pair], bool] = {}
         self._rows: list[tuple | None] = [None] * len(pts)
-        # bit i of _agree[2*x + y]: labeling i puts point x strictly on side y
+        # bit i of _agree[2*x + y]: labeling i gives point x label y
         self._agree = [0] * (2 * len(pts))
-        self._labelings: set[tuple[int, ...]] = set()  # per point: 1, -1 or 0 on the hyperplane
+        self._labelings: set[tuple[int, ...]] = set()  # per point: 1 for label 1, -1 for label 0
 
     def _point_rows(self, x: int) -> tuple:
         """The margin-1 rows of point x under label 0 and label 1."""
@@ -327,25 +327,30 @@ class HalfspaceOracle:
         return rows
 
     def _record(self, separator: tuple[int, ...]) -> None:
-        """Index the labeling of the domain by an integer separator (w, b).
+        """Index the full labelings of the domain by an integer separator (w, b).
 
         A point's label-0 row times the separator is negative when the
         point is strictly on the label-0 side and positive when strictly
-        on the label-1 side; the label-1 row is its negation. The labeling
-        is the tuple of those signs, 0 for a point on the hyperplane.
+        on the label-1 side; the label-1 row is its negation. Moving b by
+        a small enough amount puts every point on the hyperplane strictly
+        on one side and keeps every other point's side, so with such
+        points two labelings are recorded, all of them on label 1 and all
+        on label 0; without, one. A labeling is the tuple of the points'
+        signs, 1 for label 1 and -1 for label 0.
         """
-        signs = []
+        sides = []
         for x in range(self.domain_size):
             coeffs, _ = self._point_rows(x)[0]
-            side = sum(c * v for c, v in zip(coeffs, separator))
-            signs.append((side > 0) - (side < 0))
-        labeling = tuple(signs)
-        if labeling in self._labelings:
-            return
-        bit = 1 << len(self._labelings)
-        self._labelings.add(labeling)
-        for x, sign in enumerate(labeling):
-            if sign:
+            sides.append(sum(c * v for c, v in zip(coeffs, separator)))
+        for labeling in {
+            tuple(1 if side > 0 else -1 for side in sides),
+            tuple(1 if side >= 0 else -1 for side in sides),
+        }:
+            if labeling in self._labelings:
+                continue
+            bit = 1 << len(self._labelings)
+            self._labelings.add(labeling)
+            for x, sign in enumerate(labeling):
                 self._agree[2 * x + (sign > 0)] |= bit
 
     def is_realizable_pairs(self, pairs: Iterable[Pair]) -> bool:
@@ -383,7 +388,7 @@ class HalfspaceOracle:
         for x, y in fs:
             common &= agree[2 * x + y]
         if common:
-            return True  # a recorded separator puts every pair strictly on its side
+            return True  # a recorded labeling agrees with every pair
         memo = self._memo
         if any(memo.get(fs - {pair}) is False for pair in fs):
             return False

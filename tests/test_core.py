@@ -11,6 +11,7 @@ import pytest
 from unlearn_lab import (
     Dataset,
     FiniteClass,
+    HalfspaceOracle,
     UnknownItemError,
     as_oracle,
     count_bits,
@@ -23,6 +24,7 @@ from unlearn_lab import (
     thresholds_1d,
     version_space,
 )
+from unlearn_lab.core import _check_pair, _realizable_support
 
 
 @pytest.fixture
@@ -241,3 +243,63 @@ def test_oracle_and_finite_agree_on_all_supports():
         for mask in range(1 << len(all_pairs)):
             support = [all_pairs[i] for i in range(len(all_pairs)) if mask >> i & 1]
             assert is_realizable(fc, support) == is_realizable(oracle, support)
+
+
+def _pairwise_realizable_support(handle, pairs):
+    # the both-labels test written pair by pair
+    if any((x, 1 - y) in pairs for x, y in pairs):
+        for pair in pairs:
+            _check_pair(pair, handle.domain_size)
+        return False
+    return handle.is_realizable_pairs(pairs)
+
+
+class _Asked:
+    """Passes questions to a handle and keeps the supports it was asked."""
+
+    def __init__(self, inner):
+        self.inner, self.domain_size, self.asked = inner, inner.domain_size, []
+
+    def is_realizable_pairs(self, pairs):
+        self.asked.append(pairs)
+        return self.inner.is_realizable_pairs(pairs)
+
+
+def _outcome(check, handle, pairs):
+    """The answer and the supports the handle was asked, or the ValueError
+    message (whoever raised it)."""
+    asking = _Asked(handle)
+    try:
+        return check(asking, pairs), asking.asked
+    except ValueError as err:
+        return str(err), None
+
+
+def test_both_labels_rule_answers_and_errors_like_a_pairwise_scan():
+    # Supports with repeated points, out-of-domain points and out-of-domain
+    # labels (one point under labels 0 and 2 holds no complementary pair):
+    # the one set-size test answers, raises and asks the handle as the
+    # pairwise scan does.
+    rng = random.Random(71)
+    kinds = {"answer": 0, "both labels": 0, "error": 0}
+    for _ in range(20):
+        fc = random_finite_class(rng, max_m=6, max_h=20)
+        m = fc.domain_size
+        points = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(m - 1)]
+        points.append(rng.choice(points))  # two points with equal coordinates
+        for handle in (fc, as_oracle(fc), HalfspaceOracle(points)):
+            for _ in range(60):
+                pairs = frozenset(
+                    (rng.randint(-1, m) if rng.random() < 0.1 else rng.randrange(m),
+                     rng.choice((-1, 2)) if rng.random() < 0.1 else rng.randint(0, 1))
+                    for _ in range(rng.randint(0, 5))
+                )
+                got = _outcome(_realizable_support, handle, pairs)
+                assert got == _outcome(_pairwise_realizable_support, handle, pairs), sorted(pairs)
+                if isinstance(got[0], str):
+                    kinds["error"] += 1
+                elif len({x for x, _ in pairs}) < len(pairs):
+                    kinds["both labels"] += 1
+                else:
+                    kinds["answer"] += 1
+    assert min(kinds.values()) > 0

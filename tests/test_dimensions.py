@@ -337,7 +337,7 @@ PINNED_HALFSPACE = {
         "mis": None,
     },
 }
-PINNED_HALFSPACE_CALLS = 242
+PINNED_HALFSPACE_CALLS = 78
 
 
 def _as_json(rep) -> dict:

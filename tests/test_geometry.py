@@ -405,7 +405,7 @@ def test_capped_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
     oracle = HalfspaceOracle(simplex_face_domain(4, 2))
     budget = scheme_bound("bounded", oracle, 10, k=2, dim_cap=3)
     assert budget["bits"] is None and budget["dims"] == {"hollow_star": CAP_EXCEEDED}
-    assert state["solves"] == 131
+    assert state["solves"] == 60
 
 
 def test_exact_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
@@ -417,7 +417,7 @@ def test_exact_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
     oracle = HalfspaceOracle(simplex_face_domain(4, 2))
     budget = scheme_bound("bounded", oracle, 10, k=2, dim_cap=5)
     assert budget["dims"] == {"hollow_star": 5} and budget["bits"] == 1751
-    assert state["solves"] == 2264
+    assert state["solves"] == 2128
 
 
 def _random_domain(rng, d, n):
@@ -437,14 +437,32 @@ def _random_domain(rng, d, n):
     return pts
 
 
+def _watch_records(monkeypatch):
+    """Log every separator `HalfspaceOracle` records as (oracle, the sign of
+    w.x - b at each domain point, the labelings the record added)."""
+    real = HalfspaceOracle._record
+    log = []
+
+    def watching(self, separator):
+        before = set(self._labelings)
+        real(self, separator)
+        w, b = separator[: self.dim], separator[self.dim]
+        sides = [sum(c * v for c, v in zip(w, p)) - b for p in self.points]
+        log.append((self, tuple((s > 0) - (s < 0) for s in sides), self._labelings - before))
+
+    monkeypatch.setattr(HalfspaceOracle, "_record", watching)
+    return log
+
+
 def test_labeling_index_matches_bruteforce_on_every_support(monkeypatch):
     # Every labeled support of each domain, asked in shuffled order, so the
     # index answers supports whose subsets were asked in any order or not
     # at all. Duplicate and collinear points put points on the separators'
-    # hyperplanes, where a point is on neither side.
+    # hyperplanes, and such a separator records two labelings.
     state = _count_fm_solves(monkeypatch)
+    log = _watch_records(monkeypatch)
     rng = random.Random(66)
-    indexed = on_hyperplane = 0
+    indexed = 0
     for _ in range(40):
         d = rng.randint(1, 3)
         n = rng.randint(3, 6 if d < 3 else 5)
@@ -473,8 +491,49 @@ def test_labeling_index_matches_bruteforce_on_every_support(monkeypatch):
             got = oracle.is_realizable_pairs(fs)
             assert got == expected[fs], (pts, sorted(fs))
             indexed += got and state["solves"] == before
-        on_hyperplane += sum(0 in labeling for labeling in oracle._labelings)
-    assert indexed > 0 and on_hyperplane > 0
+    filled = sum(1 for _, signs, added in log if 0 in signs and len(added) == 2)
+    assert indexed > 0 and filled > 0
+
+
+def test_separators_record_full_realizable_labelings(monkeypatch):
+    # On domains with duplicate and collinear points, every recorded
+    # labeling labels each point, agrees with some halfspace and gives
+    # equal points equal labels. A separator with points on its hyperplane
+    # records both fills (those points all on label 1, or all on label 0),
+    # and a support that agrees with a fill is answered with no solve.
+    state = _count_fm_solves(monkeypatch)
+    log = _watch_records(monkeypatch)
+    rng = random.Random(67)
+    filled = 0
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        n = rng.randint(3, 6)
+        pts = _random_domain(rng, d, n)
+        oracle = HalfspaceOracle(pts)
+        for _ in range(25):
+            labels = {x: rng.randint(0, 1) for x in rng.sample(range(n), rng.randint(1, n))}
+            oracle.is_realizable_pairs(frozenset(labels.items()))
+        for labeling in oracle._labelings:
+            assert len(labeling) == n and set(labeling) <= {1, -1}
+            pos = [p for p, sign in zip(pts, labeling) if sign > 0]
+            neg = [p for p, sign in zip(pts, labeling) if sign < 0]
+            assert separable_bruteforce(pos, neg), (pts, labeling)
+            assert not set(pos) & set(neg)
+        for signs in [signs for owner, signs, _ in log if owner is oracle and 0 in signs]:
+            on = [x for x in range(n) if not signs[x]]
+            off = [x for x in range(n) if signs[x]]
+            for y in (0, 1):
+                fill = tuple(sign or 2 * y - 1 for sign in signs)
+                assert fill in oracle._labelings
+                kept = rng.sample(off, rng.randint(0, len(off)))
+                support = frozenset((x, int(fill[x] > 0)) for x in on + kept)
+                if support in oracle._memo:
+                    continue
+                before = state["solves"]
+                assert oracle.is_realizable_pairs(support)
+                assert state["solves"] == before
+                filled += 1
+    assert filled > 0
 
 
 def test_labeling_index_answers_without_asking_subsets(monkeypatch):
