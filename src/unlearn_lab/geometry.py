@@ -5,21 +5,25 @@ the margin-1 feasibility system (w.x - b >= 1 on positives, <= -1 on
 negatives) and eliminating variables by exact Fourier-Motzkin (FM). Each
 row is kept as Python integers: a point's row is scaled by the lcm of its
 denominators, a combined row is an integer positive combination, and
-rows are deduplicated on their coefficients divided by their gcd. Only
-the back-substituted point is rational. Floating point never enters: the
-constructions of interest sit at margins around 1/d, where rounding
-would misclassify.
+rows are deduplicated on their coefficients divided by their gcd.
+Back-substitution keeps the point as integer numerators over one
+positive denominator, so only the returned witness is made of
+Fractions. Floating point never enters: the constructions of interest
+sit at margins around 1/d, where rounding would misclassify.
 
 HalfspaceOracle indexes the labelings its separators give: each
 separator FM returns is recorded as full labelings of the domain (the
 points on its hyperplane all on label 1 in one, all on label 0 in the
 other), and a support that some recorded labeling agrees with is
-realizable without a solve. A support is also unrealizable if some
-one-pair-smaller subset is. Such answers run no FM and so never reach the
-row cap. Answers are memoized per support, and a frozenset is looked up
-in the memo as given, before it is normalised to int pairs and validated,
-so a support asked again costs one dict lookup; a missed frozenset that
-already holds exact int pairs is validated but not rebuilt.
+realizable without a solve. When FM finds a support unrealizable, it
+names the input rows its contradiction combines (Farkas' lemma), and the
+oracle keeps their pairs as an unrealizable core: a support that holds a
+recorded core is unrealizable without a solve. Such answers run no FM
+and so never reach the row cap. Answers are memoized per support, and a
+frozenset is looked up in the memo as given, before it is normalised to
+int pairs and validated, so a support asked again costs one dict lookup;
+a missed frozenset that already holds exact int pairs is validated but
+not rebuilt.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .core import Dataset, OracleError, Pair, _check_pair
 
@@ -66,108 +71,129 @@ def _margin_row(point: Point, label: int) -> tuple[tuple[int, ...], int]:
 def _clean(rows):
     """Drop trivial rows and keep one row per direction, the one with the smallest rhs.
 
-    Rows are keyed on their coefficients divided by their gcd, so rows
-    that are positive multiples of each other share a key; right-hand
-    sides are compared per unit of that gcd by cross-multiplication, and
-    the first row wins on ties. Returns None if a trivial row is violated.
+    Rows are (coeffs, rhs, mask) and are keyed on their coefficients
+    divided by their gcd, so rows that are positive multiples of each
+    other share a key; right-hand sides are compared per unit of that gcd
+    by cross-multiplication, and the first row wins on ties. A kept row
+    keeps its mask. Returns the mask of the first violated trivial row
+    (0 <= rhs < 0) instead, if there is one.
     """
     out = {}
-    for coeffs, rhs in rows:
+    for coeffs, rhs, mask in rows:
         g = gcd(*coeffs)
         if not g:
             if rhs < 0:
-                return None
+                return mask
             continue
         key = coeffs if g == 1 else tuple(c // g for c in coeffs)
         prev = out.get(key)
         if prev is None or rhs * prev[1] < prev[0][1] * g:
-            out[key] = ((coeffs, rhs), g)
+            out[key] = ((coeffs, rhs, mask), g)
     cleaned = []
-    for (coeffs, rhs), g in out.values():
+    for (coeffs, rhs, mask), g in out.values():
         common = gcd(g, rhs)  # the row's own scale, divided out to keep integers small
         if common > 1:
             coeffs, rhs = tuple(c // common for c in coeffs), rhs // common
-        cleaned.append((coeffs, rhs))
+        cleaned.append((coeffs, rhs, mask))
     return cleaned
 
 
-def _fm_point(rows, nvars: int, cap: int) -> list[Fraction] | None:
-    """Feasible point of {coeffs . v <= rhs} over integer rows, or None.
+def _fm_point(rows, nvars: int, cap: int) -> tuple[list[int], int] | int:
+    """Feasible point of {coeffs . v <= rhs} over integer rows, or a Farkas mask.
 
-    Eliminates one occupied variable per level (fewest pos*neg pairings
-    first), recurses, then back-substitutes a value inside the bounds the
-    eliminated rows impose. Every row is kept in integers: a combined row
-    is an integer positive combination of its parents, so the rows are
-    the rows of rational elimination up to positive scale, and the point
-    found is the same.
+    Rows are (coeffs, rhs, mask), where the mask's set bits name the input
+    rows the row combines: input row i carries 1 << i, and a combined row
+    the OR of its parents' masks. Eliminates one occupied variable per
+    level (fewest pos*neg pairings first), recurses, then back-substitutes
+    a value inside the bounds the eliminated rows impose. Every row is
+    kept in integers: a combined row is an integer positive combination of
+    its parents, so the rows are the rows of rational elimination up to
+    positive scale, and the point found is the same. It is returned as
+    (numerators, positive denominator), the numerators over the lcm of the
+    coordinates' denominators.
+
+    A violated trivial row 0 <= rhs < 0 is a positive combination of
+    exactly the input rows in its mask, so by Farkas' lemma those rows
+    alone are infeasible. When the system is infeasible, that mask is
+    returned.
     """
     rows = _clean(rows)
-    if rows is None:
-        return None
+    if type(rows) is int:
+        return rows
     best = None
-    for v, column in enumerate(zip(*[coeffs for coeffs, _ in rows])):
-        p = sum(1 for c in column if c > 0)
-        q = sum(1 for c in column if c < 0)
-        if p + q and (best is None or (p * q, p + q) < best[0]):
-            best = (p * q, p + q), v
+    for v, column in enumerate(zip(*[coeffs for coeffs, _, _ in rows])):
+        occupied = len(column) - column.count(0)
+        if occupied:
+            p = sum(map((0).__lt__, column))  # positive entries, counted in C
+            key = p * (occupied - p), occupied  # pos*neg pairings, then occupancy
+            if best is None or key < best[0]:
+                best = key, v
     if best is None:
-        return [Fraction(0)] * nvars
+        return [0] * nvars, 1
     e = best[1]
     pos = [r for r in rows if r[0][e] > 0]
     neg = [r for r in rows if r[0][e] < 0]
     new_rows = [r for r in rows if not r[0][e]]
-    for pc, pr in pos:
+    for pc, pr, pm in pos:
         a = pc[e]
-        for nc, nr in neg:
+        for nc, nr, nm in neg:
             b = -nc[e]
             # coefficient e cancels: b*a + a*(-b) == 0
-            new_rows.append((tuple([b * x + a * y for x, y in zip(pc, nc)]), b * pr + a * nr))
+            new_rows.append(
+                (tuple([b * x + a * y for x, y in zip(pc, nc)]), b * pr + a * nr, pm | nm)
+            )
             if len(new_rows) > cap:
                 raise SeparabilityCapExceeded(
                     f"elimination produced more than {cap} constraints"
                 )
     sub = _fm_point(new_rows, nvars, cap)
-    if sub is None:
-        return None
-    # sub is ints/den, and sub[e] is 0 because no row below this level holds e.
+    if type(sub) is int:
+        return sub
+    # sub is ints/den, and ints[e] is 0 because no row below this level holds e.
     # A row bounds v_e by (rhs*den - coeffs.ints) / (coeffs[e]*den); bounds are
     # kept as (numerator, positive denominator) and compared by cross-multiplying.
-    ints, den = _integers(sub)
+    ints, den = sub
     lo = None
     hi = None
-    for coeffs, rhs in neg:  # coeff negative: lower bound
-        num = sum(c * v for c, v in zip(coeffs, ints)) - rhs * den
+    for coeffs, rhs, _ in neg:  # coeff negative: lower bound
+        num = sum(map(mul, coeffs, ints)) - rhs * den
         bound = num, -coeffs[e] * den
         if lo is None or num * lo[1] > lo[0] * bound[1]:
             lo = bound
-    for coeffs, rhs in pos:
-        num = rhs * den - sum(c * v for c, v in zip(coeffs, ints))
+    for coeffs, rhs, _ in pos:
+        num = rhs * den - sum(map(mul, coeffs, ints))
         bound = num, coeffs[e] * den
         if hi is None or num * hi[1] < hi[0] * bound[1]:
             hi = bound
     if lo is not None and hi is not None:
-        value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
-    elif lo is not None:
-        value = Fraction(*lo)
+        num, vden = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
     else:
-        value = Fraction(*hi)
-    sub[e] = value
-    return sub
+        num, vden = lo if lo is not None else hi
+    g = gcd(num, vden)
+    num, vden = num // g, vden // g
+    # over the lcm of the denominators, as _integers would put it
+    common = lcm(den, vden)
+    if common != den:
+        scale = common // den
+        ints = [v * scale for v in ints]
+    ints[e] = num * (common // vden)
+    return ints, common
 
 
-def _solve(rows, nvars: int, cap: int) -> tuple[list[Fraction], tuple[int, ...]] | None:
+def _solve(rows, nvars: int, cap: int) -> tuple[list[Fraction], list[int]] | int:
     """FM point of a margin-1 system, checked in integers against every row.
 
     Returns the point and its numerators over the lcm of its
-    denominators, or None when the system is infeasible.
+    denominators, or, when the system is infeasible, the int mask of an
+    infeasible subset of the rows (bit i for rows[i]).
     """
-    sol = _fm_point(rows, nvars, cap)
-    if sol is None:
-        return None
-    ints, den = _integers(sol)
-    if any(sum(c * v for c, v in zip(coeffs, ints)) > rhs * den for coeffs, rhs in rows):
+    found = _fm_point([(coeffs, rhs, 1 << i) for i, (coeffs, rhs) in enumerate(rows)], nvars, cap)
+    if type(found) is int:
+        return found
+    ints, den = found
+    if any(sum(map(mul, coeffs, ints)) > rhs * den for coeffs, rhs in rows):
         raise OracleError("Fourier-Motzkin returned a point that does not separate")
-    return sol, ints
+    return [Fraction(v, den) for v in ints], ints
 
 
 def strictly_separable(
@@ -190,7 +216,7 @@ def strictly_separable(
         raise ValueError("all points must share one dimension")
     rows = [_margin_row(p, 1) for p in pos] + [_margin_row(q, 0) for q in neg]
     found = _solve(rows, d + 1, row_cap)  # variables w_0..w_{d-1}, b
-    if found is None:
+    if type(found) is int:
         return False, None
     sol = found[0]
     return True, (tuple(sol[:d]), sol[d])
@@ -294,12 +320,14 @@ class HalfspaceOracle:
     the domain (see `_record`). Labeling i sets bit i of `_agree[2*x + y]`
     for every point x it labels y, so a support is realizable if the AND
     of `_agree` over its pairs is non-zero: some recorded labeling, and so
-    some halfspace, agrees with every pair. Otherwise the support is
-    unrealizable if some one-pair-smaller subset is known to be (a
-    superset of an unrealizable set is unrealizable). Only when neither
-    rule answers does Fourier-Motzkin run, so an indexed answer never
-    reaches `row_cap`. Each point is converted to integers on its first
-    query.
+    some halfspace, agrees with every pair. An infeasible solve returns
+    the mask of the rows whose positive combination is contradictory, an
+    unrealizable subset of the support; its pairs are kept as one pair
+    bitmask (bit 2*x + y) in `_cores`. A support whose bitmask holds some
+    core is unrealizable (a superset of an unrealizable set is), and so
+    is one that puts a point under both labels. Only when no rule answers
+    does Fourier-Motzkin run, so an indexed answer never reaches
+    `row_cap`. Each point is converted to integers on its first query.
     """
 
     def __init__(self, points: Sequence[Iterable], row_cap: int = DEFAULT_ROW_CAP):
@@ -317,6 +345,8 @@ class HalfspaceOracle:
         # bit i of _agree[2*x + y]: labeling i gives point x label y
         self._agree = [0] * (2 * len(pts))
         self._labelings: set[tuple[int, ...]] = set()  # per point: 1 for label 1, -1 for label 0
+        # unrealizable supports FM named, as pair bitmasks: bit 2*x + y for pair (x, y)
+        self._cores: list[int] = []
 
     def _point_rows(self, x: int) -> tuple:
         """The margin-1 rows of point x under label 0 and label 1."""
@@ -341,7 +371,7 @@ class HalfspaceOracle:
         sides = []
         for x in range(self.domain_size):
             coeffs, _ = self._point_rows(x)[0]
-            sides.append(sum(c * v for c, v in zip(coeffs, separator)))
+            sides.append(sum(map(mul, coeffs, separator)))
         for labeling in {
             tuple(1 if side > 0 else -1 for side in sides),
             tuple(1 if side >= 0 else -1 for side in sides),
@@ -384,21 +414,27 @@ class HalfspaceOracle:
         return result
 
     def _decide(self, fs: frozenset[Pair]) -> bool:
-        agree, common = self._agree, -1
+        agree, common, mask = self._agree, -1, 0
         for x, y in fs:
             common &= agree[2 * x + y]
+            mask |= 1 << (2 * x + y)
         if common:
             return True  # a recorded labeling agrees with every pair
-        memo = self._memo
-        if any(memo.get(fs - {pair}) is False for pair in fs):
-            return False
+        for core in self._cores:
+            if core | mask == mask:
+                return False  # holds an unrealizable core
         # points with equal coordinates have equal rows
         positives = {self._point_rows(x)[1] for x, y in fs if y}
         if any(self._point_rows(x)[1] in positives for x, y in fs if not y):
             return False  # one point under both labels
         rows = [self._point_rows(x)[y] for x, y in fs]
         found = _solve(rows, self.dim + 1, self.row_cap)
-        if found is None:
+        if type(found) is int:  # the Farkas rows, in the order fs gave them
+            core = 0
+            for i, (x, y) in enumerate(fs):
+                if found >> i & 1:
+                    core |= 1 << (2 * x + y)
+            self._cores.append(core)
             return False
         self._record(found[1])
         return True

@@ -35,6 +35,8 @@ def scheme_bound(
 
     Returns {"name", "bits", "dims"}; "bits" is None when a needed
     dimension exceeded its search cap (then no finite budget applies).
+    The chain budget's "bits" is a float, log2 of the integer its
+    "log2_of" key holds, so that `make_record` can compare in integers.
     """
     m = handle.domain_size
     z = pair_bits(m)
@@ -78,6 +80,7 @@ def scheme_bound(
             "name": f"{CHAIN_BOUND_CONSTANT}*(log2(d)+log2(n)+log2(|X|))",
             "bits": value,
             "dims": {},
+            "log2_of": (max(d, 2) * max(n, 2) * max(m, 2)) ** CHAIN_BOUND_CONSTANT,
         }
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -109,7 +112,14 @@ def make_record(
         "bound_ok": None,
     }
     if bound is not None:
-        ok = None if bound["bits"] is None else measured <= bound["bits"]
+        if bound["bits"] is None:
+            ok = None
+        elif "log2_of" in bound:
+            # measured <= log2(P) exactly when 2**measured <= P, that is when
+            # measured < P.bit_length(): decided in integers, not on the float
+            ok = measured < bound["log2_of"].bit_length()
+        else:
+            ok = measured <= bound["bits"]
         record["bound"] = {"name": bound["name"], "bits": bound["bits"], "dims": bound["dims"]}
         record["bound_ok"] = ok
     return record

@@ -157,6 +157,20 @@ def test_scheme_run_chain(tmp_path, capsys):
     assert [a["answer"] for a in doc["answers"]] == ["yes", "no"]
 
 
+def test_chain_bound_ok_at_a_power_of_two_boundary():
+    from unlearn_lab.report import make_record, scheme_bound
+
+    # d=1 is clamped to 2, so the budget is 6*(log2 2 + log2 4 + log2 8) = 36
+    # bits, and (2*4*8)**6 == 2**36
+    bound = scheme_bound("chain", thresholds_1d(8), 4, d=1)
+    assert bound["bits"] == 36.0 and bound["log2_of"] == 2**36
+    for measured, ok in ((36, True), (37, False)):
+        record = make_record("chain", "c", 4, 1, ticket_bits=(measured, 2), bound=bound)
+        assert record["bound_ok"] is ok
+        assert record["bound"] == {"name": bound["name"], "bits": 36.0, "dims": {}}
+        assert make_record("chain", "c", 4, measured, bound=bound)["bound_ok"] is ok
+
+
 def test_scheme_run_erm_merkle(tmp_path, thr4_file, capsys):
     data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}, {"x": 2, "y": 1}]})
     queries = _write(tmp_path / "q.json", {"indices": [1]})

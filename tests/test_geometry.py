@@ -188,7 +188,7 @@ def test_planar_halfspace_hollow_star_is_four():
 def test_non_separating_fm_point_raises_oracle_error(monkeypatch):
     # the witness check must hold under python -O too, so it cannot be an assert
     monkeypatch.setattr(
-        "unlearn_lab.geometry._fm_point", lambda rows, nvars, cap: [Fraction(0)] * nvars
+        "unlearn_lab.geometry._fm_point", lambda rows, nvars, cap: ([0] * nvars, 1)
     )
     with pytest.raises(OracleError):
         strictly_separable([(1,)], [(0,)])
@@ -392,7 +392,7 @@ def test_bounded_learn_fm_solve_count_is_pinned(monkeypatch):
     answer, aux = BoundedDeletionScheme(handle, 2).learn(inst.dataset_of((1, 0, 1, 1, 0, 1)))
     assert answer is False and len(aux.critical_sets) == 2
     assert len(handle.seen) == 35
-    assert state["solves"] == 28 < len(handle.seen)
+    assert state["solves"] == 9 < len(handle.seen)
 
 
 def test_capped_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
@@ -405,7 +405,7 @@ def test_capped_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
     oracle = HalfspaceOracle(simplex_face_domain(4, 2))
     budget = scheme_bound("bounded", oracle, 10, k=2, dim_cap=3)
     assert budget["bits"] is None and budget["dims"] == {"hollow_star": CAP_EXCEEDED}
-    assert state["solves"] == 60
+    assert state["solves"] == 42
 
 
 def test_exact_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
@@ -417,7 +417,7 @@ def test_exact_hollow_budget_fm_solve_count_is_pinned(monkeypatch):
     oracle = HalfspaceOracle(simplex_face_domain(4, 2))
     budget = scheme_bound("bounded", oracle, 10, k=2, dim_cap=5)
     assert budget["dims"] == {"hollow_star": 5} and budget["bits"] == 1751
-    assert state["solves"] == 2128
+    assert state["solves"] == 218
 
 
 def _random_domain(rng, d, n):
@@ -545,3 +545,50 @@ def test_labeling_index_answers_without_asking_subsets(monkeypatch):
     assert oracle.is_realizable_pairs(support)  # its subsets were never asked
     assert all(support - {pair} not in oracle._memo for pair in support)
     assert state["solves"] == 1
+
+
+def _core_pairs(core):
+    """The (point, label) pairs of a pair bitmask (bit 2*x + y)."""
+    return frozenset((b >> 1, b & 1) for b in range(core.bit_length()) if core >> b & 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unrealizable_cores(monkeypatch, d):
+    # On domains with duplicate and collinear points: each core a solve
+    # records is a subset of the support it was asked for and is itself
+    # unseparable, and a superset of it whose one-pair-smaller subsets were
+    # never asked is answered unrealizable with no solve.
+    state = _count_fm_solves(monkeypatch)
+    rng = random.Random(70 + d)
+    recorded = supersets = 0
+    for _ in range(16):
+        pts = _random_domain(rng, d, d + 4)
+        n = len(pts)
+        oracle = HalfspaceOracle(pts)
+        for _ in range(20):
+            labels = {x: rng.randint(0, 1) for x in rng.sample(range(n), rng.randint(2, n))}
+            fs = frozenset(labels.items())
+            before = len(oracle._cores)
+            oracle.is_realizable_pairs(fs)
+            for core in oracle._cores[before:]:
+                pairs = _core_pairs(core)
+                assert pairs <= fs
+                pos = [pts[x] for x, y in pairs if y]
+                neg = [pts[x] for x, y in pairs if not y]
+                assert not separable_bruteforce(pos, neg), (pts, sorted(pairs))
+                recorded += 1
+                # more pairs, one label per point coordinate, so that no
+                # point is asked under both labels
+                held = {pts[x]: y for x, y in pairs}
+                extra = [x for x in range(n) if pts[x] not in held]
+                if not extra:
+                    continue
+                chosen = rng.sample(extra, rng.randint(1, len(extra)))
+                sup = pairs | {(x, held.setdefault(pts[x], rng.randint(0, 1))) for x in chosen}
+                if sup in oracle._memo or any(sup - {pair} in oracle._memo for pair in sup):
+                    continue
+                solves = state["solves"]
+                assert not oracle.is_realizable_pairs(sup)
+                assert state["solves"] == solves
+                supersets += 1
+    assert recorded > 0 and supersets > 0
