@@ -262,7 +262,7 @@ def _cmd_lb_demo(args) -> int:
             {
                 "position": pos,
                 "deleted": list(ids),
-                "answer": _answer_json(args.scheme, ans) if inst.task != "erm" else int(ans),
+                "answer": _answer_json(args.scheme, ans),
             }
             for pos, ids, ans in run.transcript
         ],

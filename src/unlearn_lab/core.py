@@ -332,12 +332,13 @@ def erm_lexmin(fc: FiniteClass, data: Dataset | Iterable[Pair]) -> int:
         weights = data.support()
     else:
         weights = Counter((int(x), int(y)) for x, y in data)
+    for pair in weights:
+        _check_pair(pair, fc.domain_size)
     best_i = 0
     best_loss = None
     for i, row in enumerate(fc.hypotheses):
         loss = 0
         for (x, y), c in weights.items():
-            _check_pair((x, y), fc.domain_size)
             if row[x] != y:
                 loss += c
         if best_loss is None or loss < best_loss:

@@ -19,11 +19,10 @@ realizable without a solve. When FM finds a support unrealizable, it
 names the input rows its contradiction combines (Farkas' lemma), and the
 oracle keeps their pairs as an unrealizable core: a support that holds a
 recorded core is unrealizable without a solve. Such answers run no FM
-and so never reach the row cap. Answers are memoized per support, and a
-frozenset is looked up in the memo as given, before it is normalised to
-int pairs and validated, so a support asked again costs one dict lookup;
-a missed frozenset that already holds exact int pairs is validated but
-not rebuilt.
+and so never reach the row cap. Answers are memoized per support; a
+frozenset is looked up in the memo as given, so a support asked again
+costs one dict lookup, and a missed support is read once, in one loop
+that normalises, validates and indexes each pair.
 """
 
 from __future__ import annotations
@@ -306,10 +305,6 @@ def halfspace_family_dataset(d: int, k: int, subsets: Iterable[Sequence[int]]) -
     return Dataset.from_pairs(pairs)
 
 
-def _is_int_pair(pair) -> bool:
-    return type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
-
-
 class HalfspaceOracle:
     """Realizability oracle: strict separability over a fixed point list.
 
@@ -386,40 +381,45 @@ class HalfspaceOracle:
     def is_realizable_pairs(self, pairs: Iterable[Pair]) -> bool:
         """Whether some halfspace puts every (point, label) pair on its side.
 
-        A frozenset is looked up in the memo as given, before it is
-        normalised: every memo key is a validated set of int pairs, and
-        a frozenset equal to one (say, holding `True` or `Fraction(2)`
-        for 1 or 2) normalises to that key and has its answer. On a miss
-        a frozenset of exact int pairs is used as it is; any other
-        support is normalised to one and looked up again. Every miss is
-        validated, so an out-of-domain support raises ValueError however
-        often it is asked.
+        A frozenset is looked up in the memo as given: every memo key is
+        a validated set of int pairs, and a frozenset equal to one (say,
+        holding `True` or `Fraction(2)` for 1 or 2) has its answer. A
+        miss is read in one loop that normalises each pair to ints,
+        validates it and folds it into the `_agree` AND and the pair
+        bitmask. It is memoized as given if all its pairs were exact int
+        pairs, else as the frozenset of the normalised pairs, looked up
+        again first. Every miss is validated, so an out-of-domain support
+        raises ValueError however often it is asked.
         """
-        memo, fs = self._memo, None
-        if type(pairs) is frozenset:
+        memo = self._memo
+        as_given = type(pairs) is frozenset
+        if as_given:
             hit = memo.get(pairs)
             if hit is not None:
                 return hit
-            if all(map(_is_int_pair, pairs)):
-                fs = pairs
-        if fs is None:
-            fs = frozenset((int(x), int(y)) for x, y in pairs)
+        agree, m, common, mask, norm = self._agree, self.domain_size, -1, 0, []
+        for pair in pairs:
+            x, y = pair
+            if type(x) is not int or type(y) is not int or type(pair) is not tuple:
+                x, y, as_given = int(x), int(y), False
+                pair = x, y
+            _check_pair(pair, m)
+            common &= agree[2 * x + y]
+            mask |= 1 << (2 * x + y)
+            norm.append(pair)
+        if as_given:
+            fs = pairs
+        else:
+            fs = frozenset(norm)
             hit = memo.get(fs)
             if hit is not None:
                 return hit
-        for pair in fs:
-            _check_pair(pair, self.domain_size)
-        result = self._decide(fs)
-        memo[fs] = result
+        # a recorded labeling agrees with every pair, or else decide
+        result = memo[fs] = bool(common) or self._decide(fs, mask)
         return result
 
-    def _decide(self, fs: frozenset[Pair]) -> bool:
-        agree, common, mask = self._agree, -1, 0
-        for x, y in fs:
-            common &= agree[2 * x + y]
-            mask |= 1 << (2 * x + y)
-        if common:
-            return True  # a recorded labeling agrees with every pair
+    def _decide(self, fs: frozenset[Pair], mask: int) -> bool:
+        """Answer a support no recorded labeling agrees with; `mask` is its pair bitmask."""
         for core in self._cores:
             if core | mask == mask:
                 return False  # holds an unrealizable core

@@ -81,31 +81,20 @@ def minimal_unrealizable_core(
     single-pair removal of it is realizable, and its size is at most the
     hollow star number.
     """
-    return _greedy_core(handle, support_pairs(data))
+    support = support_pairs(data)
+    if _realizable_support(handle, support):
+        raise PreconditionError("core extraction needs an unrealizable support")
+    return _greedy_core(handle, support)
 
 
 def _greedy_core(handle: ClassHandle, support: frozenset[Pair]) -> tuple[Pair, ...]:
-    # The support is normalised once; each question is a set difference of it.
-    if _realizable_support(handle, support):
-        raise PreconditionError("core extraction needs an unrealizable support")
+    # The support is normalised and unrealizable; each question is a set difference of it.
     core = support
     for pair in sorted(support):
         rest = core - {pair}
         if not _realizable_support(handle, rest):
             core = rest
     return tuple(sorted(core))
-
-
-def _is_critical(
-    handle: ClassHandle, support: frozenset[Pair], removal: frozenset[Pair]
-) -> bool:
-    if not removal or not _realizable_support(handle, support - removal):
-        return False
-    # if every one-pair-smaller removal fails, all smaller ones do too
-    for pair in removal:
-        if _realizable_support(handle, support - (removal - {pair})):
-            return False
-    return True
 
 
 def enumerate_critical_sets(
@@ -124,6 +113,11 @@ def enumerate_critical_sets(
     support = support_pairs(data)
     if _realizable_support(handle, support):
         raise PreconditionError("critical sets are defined for unrealizable data")
+    return _critical_sets(handle, support, k)
+
+
+def _critical_sets(handle: ClassHandle, support: frozenset[Pair], k: int) -> set[frozenset[Pair]]:
+    # The support is normalised and unrealizable, and so is the survivor of every frontier prefix.
     core_memo: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 
     def core_of(removed: frozenset[Pair]) -> tuple[Pair, ...]:
@@ -141,11 +135,11 @@ def enumerate_critical_sets(
                 cand = prefix | {pair}
                 if cand in found or cand in nxt:
                     continue
-                if _realizable_support(handle, support - cand):
-                    if _is_critical(handle, support, cand):
-                        found.add(cand)
-                else:
+                if not _realizable_support(handle, support - cand):
                     nxt.add(cand)
+                # minimal if no one-pair-smaller removal works; then no smaller one does
+                elif not any(_realizable_support(handle, support - (cand - {p})) for p in cand):
+                    found.add(cand)
         frontier = nxt
     return found
 
@@ -182,9 +176,10 @@ class BoundedDeletionScheme:
         self.k = k
 
     def learn(self, data: Dataset) -> tuple[bool, CriticalIndex]:
-        if is_realizable(self.handle, data):
+        support = data.distinct_pairs()
+        if _realizable_support(self.handle, support):
             return True, CriticalIndex(True, self.k, len(data))
-        sets = enumerate_critical_sets(self.handle, data, self.k)
+        sets = _critical_sets(self.handle, support, self.k)
         mentioned = {pair for s in sets for pair in s}
         counts = {pair: data.support()[pair] for pair in sorted(mentioned)}
         return False, CriticalIndex(False, self.k, len(data), frozenset(sets), counts)

@@ -154,6 +154,15 @@ def test_erm_unrealizable_takes_loss_one_lexmin(thr4):
     assert erm_lexmin(thr4, Dataset.from_pairs([(0, 1), (1, 0)])) == 0
 
 
+def test_erm_rejects_out_of_domain_pairs(thr4):
+    # -1 would otherwise read the last point of every row
+    for pairs in ([(0, 1), (4, 0)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="outside domain"):
+            erm_lexmin(thr4, Dataset.from_pairs(pairs))
+        with pytest.raises(ValueError, match="outside domain"):
+            erm_lexmin(thr4, pairs)
+
+
 def test_pair_bits():
     assert pair_bits(4) == 3
 

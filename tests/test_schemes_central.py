@@ -18,6 +18,7 @@ from unlearn_lab import (
     all_labelings,
     enumerate_critical_sets,
     erm_lexmin,
+    halfspace_lb_instance,
     hollow_star_number,
     is_realizable,
     minimal_unrealizable_core,
@@ -204,3 +205,33 @@ def test_trivial_erm_scheme_matches_oracle():
         assert answer == erm_lexmin(fc, data)
         ids = [i for i in range(1, n + 1) if rng.random() < 0.4]
         assert scheme.unlearn(data.entries_for(ids), aux, {}) == erm_lexmin(fc, data.remove(ids))
+
+
+class _CountingOracle:
+    """Oracle proxy that counts questions and the distinct supports asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.domain_size = inner.domain_size
+        self.calls = 0
+        self.seen = set()
+
+    def is_realizable_pairs(self, pairs):
+        fs = frozenset(pairs)
+        self.calls += 1
+        self.seen.add(fs)
+        return self.inner.is_realizable_pairs(fs)
+
+
+def test_bounded_learn_asks_each_precondition_once():
+    # Learn asks whether the data is realizable once; the critical-set
+    # search then re-asks it neither for the core prefixes, known to be
+    # unrealizable, nor for a candidate just seen to be realizable.
+    inst = halfspace_lb_instance(4, 2)
+    handle = _CountingOracle(inst.handle)
+    answer, aux = BoundedDeletionScheme(handle, 2).learn(inst.dataset_of((1, 0, 1, 1, 0, 1)))
+    assert answer is False and len(aux.critical_sets) == 2
+    assert (handle.calls, len(handle.seen)) == (45, 35)
+    handle = _CountingOracle(inst.handle)
+    answer, aux = BoundedDeletionScheme(handle, 2).learn(inst.dataset_of((0,) * 6))
+    assert answer is True and handle.calls == 1
