@@ -83,8 +83,30 @@ def _rational(value, path):
     raise FileFormatError(path, f"bad rational {value!r}")
 
 
+# the parameters each generator kind reads besides "kind"
+_GENERATOR_PARAMS = {
+    "thresholds": ("m",),
+    "parity": ("d",),
+    "all-labelings": ("m",),
+    "tilu-ub": ("d", "domain_size"),
+    "random": ("m", "h", "seed"),
+    "halfspace": ("d",),
+}
+
+
+def _check_keys(obj: dict, known: tuple[str, ...], where: str, path) -> None:
+    """Reject a key besides "kind" that is not in `known`: no misspelt parameter is ignored."""
+    for key in obj:
+        if key != "kind" and key not in known:
+            raise FileFormatError(path, f"{where} does not read parameter {key!r}; "
+                                        f"it reads {', '.join(map(repr, known))}")
+
+
 def _build_generator(spec: dict, doc: dict, path) -> tuple[ClassHandle, str]:
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _GENERATOR_PARAMS:
+        raise FileFormatError(path, f"unknown generator kind {kind!r}")
+    _check_keys(spec, _GENERATOR_PARAMS[kind], f"generator {kind!r}", path)
 
     def param(key: str, default: int | None = None) -> int:
         value = spec[key] if default is None else spec.get(key, default)
@@ -119,6 +141,7 @@ def _build_generator(spec: dict, doc: dict, path) -> tuple[ClassHandle, str]:
             if isinstance(domain, dict):
                 if domain.get("kind") != "simplex-faces":
                     raise FileFormatError(path, f"unknown domain kind {domain.get('kind')!r}")
+                _check_keys(domain, ("d", "k"), "domain 'simplex-faces'", path)
                 dd = _json_int(domain["d"], path, "simplex-faces domain parameter 'd'")
                 kk = _json_int(domain["k"], path, "simplex-faces domain parameter 'k'")
                 points = simplex_face_domain(dd, kk)
@@ -132,7 +155,6 @@ def _build_generator(spec: dict, doc: dict, path) -> tuple[ClassHandle, str]:
             return oracle, desc
     except KeyError as exc:
         raise FileFormatError(path, f"generator {kind!r} is missing parameter {exc}") from None
-    raise FileFormatError(path, f"unknown generator kind {kind!r}")
 
 
 def load_class(path) -> tuple[ClassHandle, str]:

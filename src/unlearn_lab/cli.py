@@ -45,11 +45,21 @@ class UsageError(ValueError):
     """Bad invocation or unusable input file: exit status 2."""
 
 
-def _cap_arg(text: str) -> int:
-    cap = int(text)
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"a dimension cap must be at least 0, got {cap}")
-    return cap
+def _at_least(low: int, what: str):
+    """An argparse type for an integer of at least `low`; a smaller one exits 2."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
+_cap_arg = _at_least(0, "a dimension cap")
+_k_arg = _at_least(1, "k")
+_encoding_cap_arg = _at_least(0, "an encoding cap")
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -109,19 +119,17 @@ def _chain_params(handle) -> int:
 
 
 def _build_scheme(name: str, handle, k: int, encoding_cap: int | None):
+    if name in ("trivial-erm", "erm-merkle") and not isinstance(handle, FiniteClass):
+        raise UsageError("ERM schemes need an explicit finite class")
     if name == "trivial":
         return TrivialScheme(handle)
     if name == "trivial-erm":
-        if not isinstance(handle, FiniteClass):
-            raise UsageError("ERM schemes need an explicit finite class")
         return TrivialErmScheme(handle)
     if name == "bounded":
         return BoundedDeletionScheme(handle, k)
     if name == "merkle":
         return MerkleScheme(handle, encoding_cap)
     if name == "erm-merkle":
-        if not isinstance(handle, FiniteClass):
-            raise UsageError("ERM schemes need an explicit finite class")
         return ErmMerkleScheme(handle, encoding_cap)
     if name == "chain":
         return ChainScheme(_chain_params(handle), handle.domain_size)
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vs-encode", help="compress a dataset to its version-space encoding")
     p.add_argument("class_file")
     p.add_argument("dataset")
-    p.add_argument("--encoding-cap", type=int, default=None)
+    p.add_argument("--encoding-cap", type=_encoding_cap_arg, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_vs_encode)
 
@@ -320,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--class", dest="class_file", required=True)
     pr.add_argument("--dataset", required=True)
     pr.add_argument("--queries")
-    pr.add_argument("--k", type=int, default=3)
-    pr.add_argument("--encoding-cap", type=int, default=None)
+    pr.add_argument("--k", type=_k_arg, default=3)
+    pr.add_argument("--encoding-cap", type=_encoding_cap_arg, default=None)
     pr.add_argument("--dim-cap", type=_cap_arg, default=6)
     pr.add_argument("--record", help="write the run record for later reports")
     pr.add_argument("--out")
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--params", help="JSON object of instance parameters")
     pd.add_argument("--scheme", default="trivial",
                     choices=["trivial", "trivial-erm", "bounded", "merkle"])
-    pd.add_argument("--k", type=int, default=3)
+    pd.add_argument("--k", type=_k_arg, default=3)
     pd.add_argument("--secret")
     pd.add_argument("--out")
     pd.set_defaults(func=_cmd_lb_demo)

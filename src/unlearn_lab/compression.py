@@ -7,6 +7,12 @@ version space, which makes Merge(Enc(S1), Enc(S2)) = Enc(S1 u S2) hold
 structurally. For oracle classes the same operations run on
 realizability queries alone; encodings then satisfy the merge laws
 semantically (equal decoded version spaces) rather than structurally.
+
+The informative-subsequence scan and the star prune run on the support
+lattice of `dimensions` (version-space masks met with `&` on a
+FiniteClass; memoized pair bitmasks met with `|` on an oracle), so an
+oracle encoding asks each support once, its kept set's realizability
+included, and the canonical finite encoding is the same prune on masks.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from .core import (
     Dataset,
     FiniteClass,
     Pair,
+    _check_pair,
     encoding_bits,
     is_realizable,
     support_pairs,
 )
-from .dimensions import min_identification_set
+from .dimensions import _Lattice, min_identification_set
 
 
 class NotAVersionSpaceError(ValueError):
@@ -65,21 +72,54 @@ def eluder_subsequence(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> l
     prefix disagree at x. If they instead force the opposite label, the
     pair is kept and the scan stops: the data is unrealizable and the
     kept set already witnesses it. The kept set always has the same
-    version space as the input and at most eluder+1 pairs.
+    version space as the input and at most eluder+1 pairs. The scan runs
+    on the support lattice (`_scan`), so a repeated pair asks nothing.
     """
-    kept: list[Pair] = []
-    kept_fs: frozenset[Pair] = frozenset()
-    for x, y in _pairs_in_order(data):
-        if (x, y) in kept_fs:
-            continue
-        with_y = handle.is_realizable_pairs(kept_fs | {(x, y)})
-        with_flip = handle.is_realizable_pairs(kept_fs | {(x, 1 - y)})
-        if with_y and with_flip:
+    return _scan(_lattice(handle), _pairs_in_order(data))[0]
+
+
+def _lattice(handle: ClassHandle) -> _Lattice:
+    """The support lattice of one compression or core search; these validate their own pairs."""
+    return _Lattice.of_masks(handle) if isinstance(handle, FiniteClass) else _Lattice(handle)
+
+
+def _scan(lat: _Lattice, pairs: Iterable[Pair]) -> tuple[list[Pair], int]:
+    """The informative subsequence of `pairs` (see `eluder_subsequence`) and its state.
+
+    Each pair is validated when the scan reaches it. The state is
+    unrealizable exactly when the scan stopped early, and its answer is
+    in the lattice's memo.
+    """
+    meet, ok, states, m = lat.meet, lat.ok, lat.pairs, lat.m
+    kept, state = [], lat.top
+    for x, y in pairs:
+        _check_pair((x, y), m)
+        with_y = meet(state, states[x][y])
+        if not ok(with_y):
             kept.append((x, y))
-            kept_fs = kept_fs | {(x, y)}
-        elif not with_y:
+            return kept, with_y
+        if ok(meet(state, states[x][1 - y])):
             kept.append((x, y))
-            return kept
+            state = with_y
+    return kept, state
+
+
+def _prune(lat: _Lattice, pairs: Sequence[Pair]) -> list[Pair]:
+    """`star_prune` on a lattice, for distinct valid pairs.
+
+    Pair i is kept exactly when ok(before ∧ rest_i ∧ flip_i) holds:
+    `before` is the meet of the pairs kept so far, `rest_i` that of every
+    pair after i and `flip_i` the state of pair i's flip. So each pair
+    costs three meets and one question, and no pair is asked about again.
+    """
+    meet, ok, states = lat.meet, lat.ok, lat.pairs
+    own = [states[x][y] for x, y in pairs]
+    rests = list(accumulate(own[:0:-1], meet, initial=lat.top))[::-1]
+    kept, before = [], lat.top
+    for (x, y), state, rest in zip(pairs, own, rests):
+        if ok(meet(meet(before, rest), states[x][1 - y])):
+            kept.append((x, y))
+            before = meet(before, state)
     return kept
 
 
@@ -91,16 +131,10 @@ def star_prune(handle: ClassHandle, kept: Sequence[Pair]) -> list[Pair]:
     is realizable it is a star set, so its size is at most the star number.
     """
     # duplicates never change the version space, drop them up front
-    current = list(dict.fromkeys(kept))
-    i = 0
-    while i < len(current):
-        x, y = current[i]
-        rest = frozenset(current[:i] + current[i + 1 :])
-        if not handle.is_realizable_pairs(rest | {(x, 1 - y)}):
-            del current[i]
-        else:
-            i += 1
-    return current
+    pairs = list(dict.fromkeys(kept))
+    for pair in pairs:
+        _check_pair(pair, handle.domain_size)
+    return _prune(_lattice(handle), pairs)
 
 
 def _canonical_from_mask(fc: FiniteClass, mask: int) -> VsEncoding:
@@ -122,27 +156,9 @@ def _canonical_from_mask(fc: FiniteClass, mask: int) -> VsEncoding:
                 "hypothesis subset is not the version space of any dataset"
             )
         # lexicographic-order prune, so the result is a function of the mask
-        enc = VsEncoding(True, _star_prune_masks(fc, agreed))
+        enc = VsEncoding(True, tuple(_prune(_Lattice.of_masks(fc), agreed)))
     fc._canon_cache[mask] = enc
     return enc
-
-
-def _star_prune_masks(fc: FiniteClass, agreed: list[Pair]) -> tuple[Pair, ...]:
-    """`star_prune(fc, agreed)` on masks, for distinct pairs already validated.
-
-    When pair i is asked, the pairs before it that star_prune kept and
-    every pair after it are still in; `after[i]` is the AND of the masks
-    from pair i on. So each pair costs one AND and no pair is checked again.
-    """
-    masks = [fc.pair_mask(x, y) for x, y in agreed]
-    after = list(accumulate(reversed(masks), and_, initial=fc.full_mask))[::-1]
-    kept: list[Pair] = []
-    before = fc.full_mask
-    for (x, y), mask, rest in zip(agreed, masks, after[1:]):
-        if before & rest & fc.pair_mask(x, 1 - y):
-            kept.append((x, y))
-            before &= mask
-    return tuple(kept)
 
 
 def canonical_dataset(fc: FiniteClass, vs: Iterable[int]) -> VsEncoding:
@@ -160,11 +176,16 @@ def vs_encode(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> VsEncoding
     """Compress a dataset to a canonical encoding of its version space."""
     if isinstance(handle, FiniteClass):
         return _canonical_from_mask(handle, handle.vs_mask(support_pairs(data)))
-    kept = eluder_subsequence(handle, data)
-    if not is_realizable(handle, kept):
+    return _lattice_encoding(_Lattice(handle), _pairs_in_order(data))
+
+
+def _lattice_encoding(lat: _Lattice, pairs: Iterable[Pair]) -> VsEncoding:
+    """An oracle's encoding of `pairs`: the informative subsequence,
+    star-pruned and sorted, or the marker if the scan stopped early."""
+    kept, state = _scan(lat, pairs)
+    if not lat.ok(state):  # a memo hit, unless nothing was kept
         return unrealizable_marker()
-    pruned = star_prune(handle, kept)
-    return VsEncoding(True, tuple(sorted(pruned)))
+    return VsEncoding(True, tuple(sorted(_prune(lat, kept))))
 
 
 def decode_mask(fc: FiniteClass, enc: VsEncoding) -> int:
@@ -195,7 +216,7 @@ def mergeable_decode(handle: ClassHandle, enc: VsEncoding) -> bool:
 class NodeStates:
     """The node states of an aggregation tree over one class handle.
 
-    `empty()` is the state of the empty dataset (padding leaves),
+    `empty` is the state of the empty dataset (padding leaves),
     `leaves(pairs)` the states of the one-item datasets in order,
     `meet(a, b)` the state of the union of two datasets, `encode(s)` its
     canonical encoding, and `version_space(states)` the version space of
@@ -206,30 +227,31 @@ class NodeStates:
     `encode` reads the mask-keyed canonical cache, and `version_space`
     is the AND of the masks, so neither building a tree nor answering
     from its states decodes or encodes anything. For an oracle a state is
-    the encoding itself, built by `vs_encode` and `merge` exactly as
-    those calls would build it, and `encode` is the identity; `empty` is
-    a call rather than a value so that the oracle is asked at each use,
-    as `vs_encode(handle, ())` asks it. An oracle has no masks, so its
-    `version_space` is only whether the space is non-empty: one
-    `is_realizable` on the union of the encodings' pairs, which has the
-    version space of the union of the encoded datasets. Either way the
-    result is truthy exactly when that union is realizable.
+    the encoding itself, equal to what `vs_encode` and `merge` give, and
+    `encode` is the identity. Its states are built on one support lattice
+    (`_lattice_encoding`), so every tree built through one `NodeStates`
+    asks the oracle once per distinct support; `empty` is asked when the
+    adapter is made. An oracle has no masks, so its `version_space` is only
+    whether the space is non-empty: one `is_realizable` on the union of
+    the encodings' pairs, which has the version space of the union of the
+    encoded datasets. Either way the result is truthy exactly when that
+    union is realizable.
     """
 
     __slots__ = ("empty", "leaves", "meet", "encode", "version_space")
 
     def __init__(self, handle: ClassHandle):
         if isinstance(handle, FiniteClass):
-            full = handle.full_mask
-            self.empty = lambda: full
+            full = self.empty = handle.full_mask
             self.leaves = lambda pairs: list(map(_LeafMasks(handle).__getitem__, pairs))
             self.meet = and_
             self.encode = partial(_canonical_from_mask, handle)
             self.version_space = lambda masks: reduce(and_, masks, full)
         else:
-            self.empty = partial(vs_encode, handle, ())
-            self.leaves = lambda pairs: [vs_encode(handle, (p,)) for p in pairs]
-            self.meet = partial(merge, handle)
+            encoding = partial(_lattice_encoding, _Lattice(handle))
+            self.empty = encoding(())
+            self.leaves = lambda pairs: [encoding((p,)) for p in pairs]
+            self.meet = lambda a, b: encoding(a.pairs + b.pairs)
             self.encode = lambda enc: enc
             self.version_space = lambda encs: is_realizable(
                 handle, frozenset().union(*(enc.pairs for enc in encs))

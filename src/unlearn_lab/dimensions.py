@@ -105,6 +105,15 @@ class _Lattice:
             self.ok = _memoized(handle, m)
             self.ceilings = _free_ceilings(m)
 
+    @classmethod
+    def of_masks(cls, fc: FiniteClass) -> _Lattice:
+        """The lattice of a FiniteClass read straight from its pair masks,
+        with no `vs_mask` call, for searches that validate their own pairs."""
+        lat = cls.__new__(cls)
+        lat.m, lat.top, lat.pairs = fc.domain_size, fc.full_mask, fc._masks
+        lat.meet, lat.ok, lat.ceilings = and_, bool, _version_ceilings
+        return lat
+
 
 def _version_ceilings(mask: int) -> tuple[int, int, int]:
     """|V|-1 and floor(log2 |V|) (twice) for a non-empty version space V."""
@@ -116,7 +125,7 @@ def _version_ceilings(mask: int) -> tuple[int, int, int]:
 def _free_ceilings(m: int):
     """The ceilings of a pair bitmask over m points: its u unlabeled points
     for both depths, and u-1 for Littlestone once a split has read less."""
-    even = int("01" * m, 2)
+    even = int("0" + "01" * m, 2)
 
     def ceilings(state: int) -> tuple[int, int, int]:
         free = m - ((state | state >> 1) & even).bit_count()
@@ -129,7 +138,7 @@ def _memoized(handle: ClassHandle, m: int):
     """The oracle's answers on pair bitmasks over m points, memoized; a
     support holding both labels of a point is unrealizable without a call."""
     memo: dict[int, bool] = {}
-    even = int("01" * m, 2)  # bit 2x: label 0 of point x
+    even = int("0" + "01" * m, 2)  # bit 2x: label 0 of point x
     bit_pairs = [(b >> 1, b & 1) for b in range(2 * m)]
 
     def ok(state: int) -> bool:

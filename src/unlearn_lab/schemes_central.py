@@ -16,11 +16,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from .core import (
     ClassHandle,
     Dataset,
     Entry,
+    FiniteClass,
     Pair,
     _realizable_support,
     count_bits,
@@ -70,6 +72,11 @@ class TrivialErmScheme(TrivialScheme):
 
     task = staticmethod(erm_lexmin)
 
+    def __init__(self, handle: FiniteClass):
+        if not isinstance(handle, FiniteClass):
+            raise TypeError("the ERM baseline needs an explicit finite class")
+        super().__init__(handle)
+
 
 def minimal_unrealizable_core(
     handle: ClassHandle, data: Dataset | Iterable[Pair]
@@ -84,15 +91,16 @@ def minimal_unrealizable_core(
     support = support_pairs(data)
     if _realizable_support(handle, support):
         raise PreconditionError("core extraction needs an unrealizable support")
-    return _greedy_core(handle, support)
+    return _greedy_core(partial(_realizable_support, handle), support)
 
 
-def _greedy_core(handle: ClassHandle, support: frozenset[Pair]) -> tuple[Pair, ...]:
-    # The support is normalised and unrealizable; each question is a set difference of it.
+def _greedy_core(ok, support: frozenset[Pair]) -> tuple[Pair, ...]:
+    # The support is normalised and unrealizable; each question is a set difference of it,
+    # asked through `ok`, which answers like _realizable_support.
     core = support
     for pair in sorted(support):
         rest = core - {pair}
-        if not _realizable_support(handle, rest):
+        if not ok(rest):
             core = rest
     return tuple(sorted(core))
 
@@ -106,39 +114,34 @@ def enumerate_critical_sets(
     the current survivor: any completion of a prefix to a critical set
     must delete some core pair, so the search is exhaustive while visiting
     at most hollow_star**k prefixes per level. The support is normalised
-    once, and every support asked about is a difference of it.
+    once, every support asked about is a difference of it, and each is
+    asked once.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    support = support_pairs(data)
-    if _realizable_support(handle, support):
+    support, ok = support_pairs(data), cache(partial(_realizable_support, handle))
+    if ok(support):
         raise PreconditionError("critical sets are defined for unrealizable data")
-    return _critical_sets(handle, support, k)
+    return _critical_sets(ok, support, k)
 
 
-def _critical_sets(handle: ClassHandle, support: frozenset[Pair], k: int) -> set[frozenset[Pair]]:
-    # The support is normalised and unrealizable, and so is the survivor of every frontier prefix.
-    core_memo: dict[frozenset[Pair], tuple[Pair, ...]] = {}
-
-    def core_of(removed: frozenset[Pair]) -> tuple[Pair, ...]:
-        hit = core_memo.get(removed)
-        if hit is None:
-            hit = core_memo[removed] = _greedy_core(handle, support - removed)
-        return hit
-
+def _critical_sets(ok, support: frozenset[Pair], k: int) -> set[frozenset[Pair]]:
+    # The support is normalised and unrealizable, and so is the survivor of every frontier
+    # prefix. `ok` answers like _realizable_support, asking each support once, and the
+    # caller has already asked it about the support itself.
     found: set[frozenset[Pair]] = set()
     frontier: set[frozenset[Pair]] = {frozenset()}
     for _ in range(k):
         nxt: set[frozenset[Pair]] = set()
-        for prefix in frontier:
-            for pair in core_of(prefix):
+        for prefix in frontier:  # each prefix once, so its greedy core once
+            for pair in _greedy_core(ok, support - prefix):
                 cand = prefix | {pair}
                 if cand in found or cand in nxt:
                     continue
-                if not _realizable_support(handle, support - cand):
+                if not ok(support - cand):
                     nxt.add(cand)
                 # minimal if no one-pair-smaller removal works; then no smaller one does
-                elif not any(_realizable_support(handle, support - (cand - {p})) for p in cand):
+                elif not any(ok(support - (cand - {p})) for p in cand):
                     found.add(cand)
         frontier = nxt
     return found
@@ -176,10 +179,10 @@ class BoundedDeletionScheme:
         self.k = k
 
     def learn(self, data: Dataset) -> tuple[bool, CriticalIndex]:
-        support = data.distinct_pairs()
-        if _realizable_support(self.handle, support):
+        support, ok = data.distinct_pairs(), cache(partial(_realizable_support, self.handle))
+        if ok(support):
             return True, CriticalIndex(True, self.k, len(data))
-        sets = _critical_sets(self.handle, support, self.k)
+        sets = _critical_sets(ok, support, self.k)
         mentioned = {pair for s in sets for pair in s}
         counts = {pair: data.support()[pair] for pair in sorted(mentioned)}
         return False, CriticalIndex(False, self.k, len(data), frozenset(sets), counts)

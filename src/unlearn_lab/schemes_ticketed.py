@@ -155,7 +155,7 @@ class _AggregationTreeScheme:
         # the leaf is the item id: an id above the padded size has no leaf
         if by_id and max(by_id) > size:
             raise IndexError(f"item id above the tree's {size} leaves")
-        pad = states.empty()
+        pad = states.empty
         level = states.leaves(by_id.values())
         level += [pad] * (size - len(level))
         levels = []

@@ -310,12 +310,12 @@ class _CountingOracle:
 
 
 def test_merkle_on_an_oracle_learns_as_before_and_unlearns_in_one_call():
-    # learn builds through vs_encode and merge, node by node; unlearn asks once
+    # learn asks each of the 26 distinct supports of its tree once; unlearn asks once
     oracle = _CountingOracle(HalfspaceOracle([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]))
     data = Dataset.from_pairs([(0, 0), (1, 1), (2, 0), (3, 1), (4, 1)])
     scheme = MerkleScheme(oracle)
     answer, aux, tickets = scheme.learn(data)
-    assert answer is True and oracle.calls == 72
+    assert answer is True and oracle.calls == 26
     oracle.calls = 0
     assert scheme.unlearn(data.entries_for([2, 4]), aux, tickets) is True
     assert oracle.calls == 1

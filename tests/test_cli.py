@@ -653,6 +653,41 @@ def test_negative_dimension_caps_exit_2(tmp_path, thr4_file, capsys, argv):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scheme", "run", "--scheme", "bounded", "--class", "{cls}", "--dataset", "{data}",
+      "--k", "0"], "k must be at least 1, got 0"),
+    (["lb", "demo", "--instance", "halfspace", "--scheme", "bounded", "--k", "0"],
+     "k must be at least 1, got 0"),
+    (["scheme", "run", "--scheme", "merkle", "--class", "{cls}", "--dataset", "{data}",
+      "--encoding-cap", "-1"], "an encoding cap must be at least 0, got -1"),
+    (["vs-encode", "{cls}", "{data}", "--encoding-cap", "-1"],
+     "an encoding cap must be at least 0, got -1")])
+def test_bad_counts_exit_2_at_parse_time(tmp_path, thr4_file, capsys, argv, message):
+    data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}]})
+    argv = [a.format(cls=thr4_file, data=data) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "" and message in err
+    fixed = {"0": "2", "-1": "8"}  # the instance's own k, and a cap the one-pair encoding fits
+    code, _, _ = _run(capsys, [fixed.get(a, a) for a in argv])
+    assert code == 0
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"generator": {"kind": "random", "m": 4, "hypotheses": 3}},
+     "generator 'random' does not read parameter 'hypotheses'; it reads 'm', 'h', 'seed'"),
+    ({"generator": {"kind": "thresholds", "m": 4, "d": 2}},
+     "generator 'thresholds' does not read parameter 'd'; it reads 'm'"),
+    ({"generator": {"kind": "halfspace", "d": 1, "domain": [[0], [1]]}, "domain": [[0], [1]]},
+     "generator 'halfspace' does not read parameter 'domain'"),
+    ({"generator": {"kind": "halfspace", "d": 4},
+      "domain": {"kind": "simplex-faces", "d": 4, "k": 2, "m": 10}},
+     "domain 'simplex-faces' does not read parameter 'm'; it reads 'd', 'k'")])
+def test_class_files_reject_keys_their_kind_does_not_read(tmp_path, capsys, doc, message):
+    path = _write(tmp_path / "c.json", doc)
+    code, out, err = _run(capsys, ["dims", path, "--cap", "1"])
+    assert code == 1 and out == "" and f"c.json: {message}" in err
+
+
 def _dims_without_class(capsys, path):
     code, out, _ = _run(capsys, ["dims", path, "--witness"])
     assert code == 0

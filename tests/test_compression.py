@@ -8,12 +8,17 @@ import pytest
 
 from unlearn_lab import (
     Dataset,
+    FiniteClass,
+    HalfspaceOracle,
     NotAVersionSpaceError,
+    PreconditionError,
     TrivialScheme,
     VsEncoding,
     as_oracle,
     canonical_dataset,
     eluder_dimension,
+    enumerate_critical_sets,
+    is_realizable,
     eluder_subsequence,
     lu_to_vs_adapter,
     merge,
@@ -21,6 +26,7 @@ from unlearn_lab import (
     mergeable_to_vs_decode,
     mergeable_triple,
     min_identification_set,
+    minimal_unrealizable_core,
     parity_class,
     random_finite_class,
     star_number,
@@ -31,6 +37,7 @@ from unlearn_lab import (
     vs_decode,
     vs_encode,
 )
+from unlearn_lab.core import _realizable_support, support_pairs
 
 
 @pytest.fixture
@@ -250,3 +257,157 @@ def test_adapter_small_exhaustive(thr4):
             data = Dataset.from_pairs(combo)
             aux, dec = lu_to_vs_adapter(scheme, thr4, data)
             assert dec(aux) == version_space(thr4, data)
+
+
+class _EmptyDomainOracle:
+    domain_size = 0
+
+    def is_realizable_pairs(self, pairs):
+        return not list(pairs)
+
+
+def test_an_oracle_over_no_points_encodes_the_empty_dataset():
+    assert vs_encode(_EmptyDomainOracle(), []) == VsEncoding(True, ())
+    assert eluder_subsequence(_EmptyDomainOracle(), []) == []
+
+
+# Frozenset reference implementations of the scan, the star prune and the
+# greedy core, which ask the handle directly; the lattice code must agree.
+
+
+def _ref_eluder_subsequence(handle, data):
+    pairs = list(data.pairs()) if isinstance(data, Dataset) else [(int(x), int(y)) for x, y in data]
+    kept, kept_fs = [], frozenset()
+    for x, y in pairs:
+        if (x, y) in kept_fs:
+            continue
+        with_y = handle.is_realizable_pairs(kept_fs | {(x, y)})
+        with_flip = handle.is_realizable_pairs(kept_fs | {(x, 1 - y)})
+        if with_y and with_flip:
+            kept.append((x, y))
+            kept_fs = kept_fs | {(x, y)}
+        elif not with_y:
+            kept.append((x, y))
+            return kept
+    return kept
+
+
+def _ref_star_prune(handle, kept):
+    current = list(dict.fromkeys(kept))
+    i = 0
+    while i < len(current):
+        x, y = current[i]
+        rest = frozenset(current[:i] + current[i + 1 :])
+        if not handle.is_realizable_pairs(rest | {(x, 1 - y)}):
+            del current[i]
+        else:
+            i += 1
+    return current
+
+
+def _ref_greedy_core(handle, support):
+    core = support
+    for pair in sorted(support):
+        rest = core - {pair}
+        if not _realizable_support(handle, rest):
+            core = rest
+    return tuple(sorted(core))
+
+
+def _ref_vs_encode(handle, data):
+    if isinstance(handle, FiniteClass):  # the canonical encoding, without the class's cache
+        mask = handle.vs_mask(support_pairs(data))
+        if not mask:
+            return unrealizable_marker()
+        full, m = handle.full_mask, handle.domain_size
+        agreed = [(x, y) for x in range(m) for y in (0, 1)
+                  if handle.pair_mask(x, y) != full and mask & handle.pair_mask(x, y) == mask]
+        return VsEncoding(True, tuple(_ref_star_prune(handle, agreed)))
+    kept = _ref_eluder_subsequence(handle, data)
+    if not is_realizable(handle, kept):
+        return unrealizable_marker()
+    return VsEncoding(True, tuple(sorted(_ref_star_prune(handle, kept))))
+
+
+def _ref_merge(handle, e1, e2):
+    # on a finite class, the canonical encoding of the AND of the two decoded masks
+    return _ref_vs_encode(handle, e1.pairs + e2.pairs)
+
+
+def _ref_core(handle, data):
+    support = support_pairs(data)
+    if _realizable_support(handle, support):
+        raise PreconditionError
+    return _ref_greedy_core(handle, support)
+
+
+def _ref_critical_sets(handle, data, k):
+    support = support_pairs(data)
+    if _realizable_support(handle, support):
+        raise PreconditionError
+    found, frontier = set(), {frozenset()}
+    for _ in range(k):
+        nxt = set()
+        for prefix in frontier:
+            for pair in _ref_greedy_core(handle, support - prefix):
+                cand = prefix | {pair}
+                if cand in found or cand in nxt:
+                    continue
+                if not _realizable_support(handle, support - cand):
+                    nxt.add(cand)
+                elif not any(_realizable_support(handle, support - (cand - {p})) for p in cand):
+                    found.add(cand)
+        frontier = nxt
+    return found
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # the type is what must match
+        return "raised", type(exc)
+
+
+def _noisy_pairs(rng, m, max_n):
+    """Pairs mostly in the domain; about one in ten has a point just outside it."""
+    return [
+        (rng.choice((-1, m)) if rng.random() < 0.1 else rng.randrange(m), rng.randint(0, 1))
+        for _ in range(rng.randint(0, max_n))
+    ]
+
+
+def _differential_handles(rng):
+    fc = random_finite_class(rng, max_m=6, max_h=16)
+    points = set()
+    while len(points) < rng.randint(3, 5):
+        points.add((rng.randint(-3, 3), rng.randint(-3, 3)))
+    return fc, as_oracle(fc), HalfspaceOracle(sorted(points))
+
+
+def test_lattice_compression_and_cores_match_the_frozenset_references():
+    rng = random.Random(2301)
+    for _ in range(40):
+        for handle in _differential_handles(rng):
+            m = handle.domain_size
+            for _ in range(4):
+                pairs = _noisy_pairs(rng, m, 8)
+                data = Dataset.from_pairs(pairs) if rng.random() < 0.5 else pairs
+                k = rng.randint(1, 3)
+                enc = vs_encode(handle, _random_pairs(rng, m, 5))
+                odd = VsEncoding(True, tuple(_noisy_pairs(rng, m, 3)))
+                for got, want in (
+                    (eluder_subsequence, _ref_eluder_subsequence),
+                    (star_prune, _ref_star_prune),
+                    (vs_encode, _ref_vs_encode),
+                    (minimal_unrealizable_core, _ref_core),
+                ):
+                    assert _outcome(got, handle, data if got is not star_prune else pairs) == (
+                        _outcome(want, handle, data if got is not star_prune else pairs)
+                    ), (got.__name__, handle, pairs)
+                for other in (enc, odd, unrealizable_marker()):
+                    assert _outcome(merge, handle, enc, other) == _outcome(
+                        _ref_merge, handle, enc, other
+                    ), (handle, enc, other)
+                assert _outcome(enumerate_critical_sets, handle, data, k) == _outcome(
+                    _ref_critical_sets, handle, data, k
+                ), (handle, pairs, k)

@@ -9,6 +9,7 @@ import pytest
 from unlearn_lab import (
     BoundedDeletionScheme,
     Dataset,
+    ErmMerkleScheme,
     HalfspaceOracle,
     PreconditionError,
     QueryTooLargeError,
@@ -16,6 +17,7 @@ from unlearn_lab import (
     TrivialScheme,
     UnknownItemError,
     all_labelings,
+    as_oracle,
     enumerate_critical_sets,
     erm_lexmin,
     halfspace_lb_instance,
@@ -207,6 +209,12 @@ def test_trivial_erm_scheme_matches_oracle():
         assert scheme.unlearn(data.entries_for(ids), aux, {}) == erm_lexmin(fc, data.remove(ids))
 
 
+@pytest.mark.parametrize("make", [TrivialErmScheme, ErmMerkleScheme])
+def test_erm_schemes_reject_an_oracle_when_built(thr4, make):
+    with pytest.raises(TypeError, match="explicit finite class"):
+        make(as_oracle(thr4))
+
+
 class _CountingOracle:
     """Oracle proxy that counts questions and the distinct supports asked."""
 
@@ -223,6 +231,16 @@ class _CountingOracle:
         return self.inner.is_realizable_pairs(fs)
 
 
+def test_critical_set_search_asks_each_support_once(thr4):
+    # removing either pair of this conflict leaves a realizable survivor, so
+    # each one-pair removal is minimal only because the support itself is not
+    # realizable, which the public call already asked
+    handle = _CountingOracle(as_oracle(thr4))
+    got = enumerate_critical_sets(handle, [(0, 1), (1, 0)], 2)
+    assert got == {frozenset({(0, 1)}), frozenset({(1, 0)})}
+    assert (handle.calls, len(handle.seen)) == (3, 3)
+
+
 def test_bounded_learn_asks_each_precondition_once():
     # Learn asks whether the data is realizable once; the critical-set
     # search then re-asks it neither for the core prefixes, known to be
@@ -231,7 +249,7 @@ def test_bounded_learn_asks_each_precondition_once():
     handle = _CountingOracle(inst.handle)
     answer, aux = BoundedDeletionScheme(handle, 2).learn(inst.dataset_of((1, 0, 1, 1, 0, 1)))
     assert answer is False and len(aux.critical_sets) == 2
-    assert (handle.calls, len(handle.seen)) == (45, 35)
+    assert (handle.calls, len(handle.seen)) == (35, 35)
     handle = _CountingOracle(inst.handle)
     answer, aux = BoundedDeletionScheme(handle, 2).learn(inst.dataset_of((0,) * 6))
     assert answer is True and handle.calls == 1
