@@ -40,10 +40,10 @@ class FileFormatError(ValueError):
         self.path = str(path)
 
 
-def env_seed(default: int = 0) -> int:
+def env_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return default
+        return 0
     try:
         return int(raw)
     except ValueError:
@@ -51,10 +51,7 @@ def env_seed(default: int = 0) -> int:
 
 
 def _load_json(path) -> object:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise
+    text = Path(path).read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -65,6 +62,13 @@ def _json_int(value, path, where: str) -> int:
     """Read a JSON integer; bools, floats and strings are rejected."""
     if type(value) is not int:
         raise FileFormatError(path, f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_list(value, path, where: str) -> list:
+    """Read a JSON array; any other value is rejected."""
+    if not isinstance(value, list):
+        raise FileFormatError(path, f"{where} must be a list, got {json.dumps(value)}")
     return value
 
 
@@ -102,7 +106,9 @@ def _check_keys(obj: dict, known: tuple[str, ...], where: str, path) -> None:
                                         f"it reads {', '.join(map(repr, known))}")
 
 
-def _build_generator(spec: dict, doc: dict, path) -> tuple[ClassHandle, str]:
+def _build_generator(spec, doc: dict, path) -> tuple[ClassHandle, str]:
+    if not isinstance(spec, dict):
+        raise FileFormatError(path, f"'generator' must be an object, got {json.dumps(spec)}")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _GENERATOR_PARAMS:
         raise FileFormatError(path, f"unknown generator kind {kind!r}")
@@ -147,7 +153,11 @@ def _build_generator(spec: dict, doc: dict, path) -> tuple[ClassHandle, str]:
                 points = simplex_face_domain(dd, kk)
                 desc = f"halfspace(d={dd},simplex-faces(k={kk}))"
             else:
-                points = [tuple(_rational(c, path) for c in row) for row in domain]
+                rows = _json_list(domain, path, "'domain', when not an object,")
+                points = [
+                    tuple(_rational(c, path) for c in _json_list(row, path, f"domain point {pos}"))
+                    for pos, row in enumerate(rows, start=1)
+                ]
                 desc = f"halfspace(d={d},points={len(points)})"
             oracle = HalfspaceOracle(points)
             if oracle.dim != d:
@@ -171,19 +181,22 @@ def load_class(path) -> tuple[ClassHandle, str]:
         m = len(domain)
     else:
         m = _json_int(domain, path, "'domain', when not a list of points,")
+    rows = _json_list(doc["hypotheses"], path, "'hypotheses'")
+    for pos, row in enumerate(rows, start=1):
+        _json_list(row, path, f"hypothesis {pos}")
     try:
-        fc = FiniteClass(m, doc["hypotheses"])
+        fc = FiniteClass(m, rows)
     except ValueError as exc:
         raise FileFormatError(path, str(exc)) from None
     return fc, f"explicit(m={m},h={len(fc.hypotheses)})"
 
 
-def load_dataset(path, handle: ClassHandle | None = None) -> Dataset:
+def load_dataset(path, handle: ClassHandle) -> Dataset:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "items" not in doc:
         raise FileFormatError(path, "dataset file must be an object with 'items'")
     pairs = []
-    for pos, item in enumerate(doc["items"], start=1):
+    for pos, item in enumerate(_json_list(doc["items"], path, "'items'"), start=1):
         if not isinstance(item, dict) or not {"x", "y"} <= item.keys():
             raise FileFormatError(path, f"item {pos} must be an object with 'x' and 'y'")
         pairs.append(tuple(_json_int(item[k], path, f"item {pos} {k!r}") for k in ("x", "y")))
@@ -191,11 +204,10 @@ def load_dataset(path, handle: ClassHandle | None = None) -> Dataset:
         data = Dataset.from_pairs(pairs)
     except ValueError as exc:
         raise FileFormatError(path, str(exc)) from None
-    if handle is not None:
-        m = handle.domain_size
-        for i, (x, y) in data:
-            if not (0 <= x < m):
-                raise FileFormatError(path, f"item {i} references point {x} outside domain of size {m}")
+    m = handle.domain_size
+    for i, (x, y) in data:
+        if not (0 <= x < m):
+            raise FileFormatError(path, f"item {i} references point {x} outside domain of size {m}")
     return data
 
 
@@ -204,7 +216,10 @@ def load_queries(path, data: Dataset | None = None) -> list[frozenset[int]]:
     if isinstance(doc, dict) and "indices" in doc:
         raw = [doc["indices"]]
     elif isinstance(doc, dict) and "queries" in doc:
-        raw = [q.get("indices") if isinstance(q, dict) else q for q in doc["queries"]]
+        raw = [
+            q.get("indices") if isinstance(q, dict) else q
+            for q in _json_list(doc["queries"], path, "'queries'")
+        ]
     else:
         raise FileFormatError(path, "query file needs 'indices' or 'queries'")
     known = None if data is None else data.by_id
@@ -267,7 +282,7 @@ def load_encoding(path) -> VsEncoding:
     if doc["kind"] != "realizable":
         raise FileFormatError(path, f"unknown encoding kind {doc['kind']!r}")
     pairs = []
-    for pos, pair in enumerate(doc.get("pairs", []), start=1):
+    for pos, pair in enumerate(_json_list(doc.get("pairs", []), path, "'pairs'"), start=1):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FileFormatError(path, "encoding pairs must be [x, y] lists")
         pairs.append(tuple(_json_int(v, path, f"encoding pair {pos}") for v in pair))

@@ -20,8 +20,8 @@ from . import classfiles, report
 from .classfiles import FileFormatError, encoding_to_json, env_seed
 from .compression import merge as merge_encodings
 from .compression import vs_encode
-from .core import FiniteClass
-from .dimensions import compute_dims
+from .core import FiniteClass, pair_cap
+from .dimensions import ORACLE_CAP, compute_dims
 from .instances import (
     all_labelings,
     eluder_lb_instance,
@@ -83,7 +83,7 @@ def _cmd_vs_encode(args) -> int:
     handle, desc = classfiles.load_class(args.class_file)
     data = classfiles.load_dataset(args.dataset, handle)
     enc = vs_encode(handle, data)
-    cap = args.encoding_cap if args.encoding_cap is not None else 2 * handle.domain_size
+    cap = pair_cap(handle.domain_size, args.encoding_cap)
     doc = {
         "v": 1,
         "class": desc,
@@ -118,8 +118,12 @@ def _chain_params(handle) -> int:
     return d
 
 
+# the schemes that answer with a hypothesis index, and so need a FiniteClass
+_ERM_SCHEMES = ("trivial-erm", "erm-merkle")
+
+
 def _build_scheme(name: str, handle, k: int, encoding_cap: int | None):
-    if name in ("trivial-erm", "erm-merkle") and not isinstance(handle, FiniteClass):
+    if name in _ERM_SCHEMES and not isinstance(handle, FiniteClass):
         raise UsageError("ERM schemes need an explicit finite class")
     if name == "trivial":
         return TrivialScheme(handle)
@@ -137,7 +141,7 @@ def _build_scheme(name: str, handle, k: int, encoding_cap: int | None):
 
 
 def _answer_json(scheme_name: str, answer):
-    if scheme_name in ("trivial-erm", "erm-merkle"):
+    if scheme_name in _ERM_SCHEMES:
         return int(answer)
     return "yes" if answer else "no"
 
@@ -242,9 +246,9 @@ def _cmd_lb_demo(args) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"--params is not valid JSON: {exc.msg}") from None
     inst = _build_instance(args.instance, params)
-    if inst.task == "erm" and args.scheme not in ("trivial-erm",):
+    if inst.task == "erm" and args.scheme not in _ERM_SCHEMES:
         raise UsageError("ERM instances need --scheme trivial-erm")
-    if inst.task == "realizability" and args.scheme == "trivial-erm":
+    if inst.task == "realizability" and args.scheme in _ERM_SCHEMES:
         raise UsageError("realizability instances need a realizability scheme")
     scheme = _build_scheme(args.scheme, inst.handle, args.k, None)
     if args.secret:
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--queries")
     pr.add_argument("--k", type=_k_arg, default=3)
     pr.add_argument("--encoding-cap", type=_encoding_cap_arg, default=None)
-    pr.add_argument("--dim-cap", type=_cap_arg, default=6)
+    pr.add_argument("--dim-cap", type=_cap_arg, default=ORACLE_CAP)
     pr.add_argument("--record", help="write the run record for later reports")
     pr.add_argument("--out")
     pr.set_defaults(func=_cmd_scheme_run)

@@ -9,10 +9,12 @@ realizability queries alone; encodings then satisfy the merge laws
 semantically (equal decoded version spaces) rather than structurally.
 
 The informative-subsequence scan and the star prune run on the support
-lattice of `dimensions` (version-space masks met with `&` on a
-FiniteClass; memoized pair bitmasks met with `|` on an oracle), so an
-oracle encoding asks each support once, its kept set's realizability
-included, and the canonical finite encoding is the same prune on masks.
+lattice that `dimensions._lattice` builds (version-space masks met with
+`&` on a FiniteClass, the class's one lattice; memoized pair bitmasks met
+with `|` on an oracle, a fresh lattice per call), so an oracle encoding
+asks each support once, its kept set's realizability included, and the
+canonical finite encoding is the same prune on masks. Each operation
+validates its own pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (
     is_realizable,
     support_pairs,
 )
-from .dimensions import _Lattice, min_identification_set
+from .dimensions import _lattice, _Lattice, min_identification_set
 
 
 class NotAVersionSpaceError(ValueError):
@@ -76,11 +78,6 @@ def eluder_subsequence(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> l
     on the support lattice (`_scan`), so a repeated pair asks nothing.
     """
     return _scan(_lattice(handle), _pairs_in_order(data))[0]
-
-
-def _lattice(handle: ClassHandle) -> _Lattice:
-    """The support lattice of one compression or core search; these validate their own pairs."""
-    return _Lattice.of_masks(handle) if isinstance(handle, FiniteClass) else _Lattice(handle)
 
 
 def _scan(lat: _Lattice, pairs: Iterable[Pair]) -> tuple[list[Pair], int]:
@@ -156,7 +153,7 @@ def _canonical_from_mask(fc: FiniteClass, mask: int) -> VsEncoding:
                 "hypothesis subset is not the version space of any dataset"
             )
         # lexicographic-order prune, so the result is a function of the mask
-        enc = VsEncoding(True, tuple(_prune(_Lattice.of_masks(fc), agreed)))
+        enc = VsEncoding(True, tuple(_prune(_lattice(fc), agreed)))
     fc._canon_cache[mask] = enc
     return enc
 
@@ -176,7 +173,7 @@ def vs_encode(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> VsEncoding
     """Compress a dataset to a canonical encoding of its version space."""
     if isinstance(handle, FiniteClass):
         return _canonical_from_mask(handle, handle.vs_mask(support_pairs(data)))
-    return _lattice_encoding(_Lattice(handle), _pairs_in_order(data))
+    return _lattice_encoding(_lattice(handle), _pairs_in_order(data))
 
 
 def _lattice_encoding(lat: _Lattice, pairs: Iterable[Pair]) -> VsEncoding:
@@ -248,7 +245,7 @@ class NodeStates:
             self.encode = partial(_canonical_from_mask, handle)
             self.version_space = lambda masks: reduce(and_, masks, full)
         else:
-            encoding = partial(_lattice_encoding, _Lattice(handle))
+            encoding = partial(_lattice_encoding, _lattice(handle))
             self.empty = encoding(())
             self.leaves = lambda pairs: [encoding((p,)) for p in pairs]
             self.meet = lambda a, b: encoding(a.pairs + b.pairs)

@@ -171,18 +171,17 @@ class Dataset:
     what deletion-by-index semantics require.
 
     A dataset holds one ordered dict from id to pair, in entry order;
-    `by_id` is a read-only view of it. `entries`, the (id, pair) tuple, is
-    built from that dict the first time it is read and then kept, so a
-    dataset that is only learned from, queried and removed from never
-    builds it. `remove` validates the query, copies the dict and deletes
-    the removed ids: it touches each survivor once, in C, and builds no
-    tuple. `len`, iteration, `pairs()` and `support()` read the dict
-    directly.
+    `by_id` is a read-only view of it, and `entries` builds the (id, pair)
+    tuple from it on each read. `remove` validates the query, copies the
+    dict and deletes the removed ids: it touches each survivor once, in C,
+    and builds no tuple. `len`, iteration, `pairs()` and `support()` read
+    the dict directly.
     """
 
-    __slots__ = ("_by_id", "_entries", "_support")
+    __slots__ = ("_by_id", "_support")
 
     def __init__(self, entries: Iterable[Entry]):
+        # every entry is converted before any is validated, which decides the error raised
         ent = tuple((int(i), (int(x), int(y))) for i, (x, y) in entries)
         by_id = {}
         for i, pair in ent:
@@ -194,7 +193,6 @@ class Dataset:
                 raise ValueError("labels must be 0 or 1")
             by_id[i] = pair
         self._by_id = by_id
-        self._entries: tuple[Entry, ...] | None = ent
         self._support: Counter | None = None
 
     @classmethod
@@ -202,7 +200,6 @@ class Dataset:
         """A dataset over an id -> normalized pair dict whose ids are known to be valid."""
         out = cls.__new__(cls)
         out._by_id = by_id
-        out._entries = None
         out._support = None
         return out
 
@@ -215,10 +212,8 @@ class Dataset:
 
     @property
     def entries(self) -> tuple[Entry, ...]:
-        """The (id, pair) entries in entry order, built on first read."""
-        if self._entries is None:
-            self._entries = tuple(self._by_id.items())
-        return self._entries
+        """The (id, pair) entries in entry order."""
+        return tuple(self._by_id.items())
 
     @property
     def by_id(self) -> Mapping[int, Pair]:
@@ -369,6 +364,12 @@ def encoding_bits(n_pairs: int, m: int, cap: int) -> int:
     if n_pairs > cap:
         raise ValueError(f"encoding of {n_pairs} pairs exceeds configured cap {cap}")
     return count_bits(cap) + n_pairs * pair_bits(m)
+
+
+def pair_cap(m: int, cap: int | None) -> int:
+    """The pair cap of an encoding's length header over m points: `cap`,
+    or by default 2m, the number of distinct pairs."""
+    return 2 * m if cap is None else cap
 
 
 def dataset_bits(n: int, m: int) -> int:

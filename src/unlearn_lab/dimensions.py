@@ -4,7 +4,8 @@ Computes VC dimension, Littlestone dimension, star number, hollow star
 number, eluder dimension, and the minimum identification set, each with a
 witness that the matching verifier accepts. VC, star, hollow star,
 eluder and Littlestone run on one search engine over the support lattice
-(`_Lattice`) and so over any realizability oracle; eluder and Littlestone
+(`_Lattice`, one per FiniteClass and one per call on an oracle; see
+`_lattice`) and so over any realizability oracle; eluder and Littlestone
 share one split recursion and its memo. Only the identification set needs
 an explicit hypothesis list. Lattice states are ints on every handle:
 version-space masks on a finite class, pair bitmasks (bit 2x+y for the
@@ -46,12 +47,10 @@ first:
 The single-dimension calls use the star, split and forced-point bounds;
 `compute_dims` runs the split recursion first and the star search before
 the hollow one, and so uses all five. On a finite class the searches are
-exact at their default caps; with m=12 points and |H|=64 hypotheses
-`compute_dims` takes about 0.1 s (0.07 to 0.10 s on seeds 1 to 3, against
-0.18 to 0.21 s without the five bounds; Python 3.11 on a 2-vCPU virtual
-machine), most of it in the split recursion and the hollow search. Every
-recursive search is a module-level function that takes its memo or
-lattice as arguments, so a search leaves no reference cycle behind.
+exact at their default caps, and most of `compute_dims`'s time goes to
+the split recursion and the hollow search. Every recursive search is a
+module-level function that takes its memo or lattice as arguments, so a
+search leaves no reference cycle behind.
 """
 
 from __future__ import annotations
@@ -64,6 +63,10 @@ from typing import Iterable
 from .core import ClassHandle, FiniteClass, Pair, _check_pair, is_realizable
 
 CAP_EXCEEDED = "cap-exceeded"
+
+# the default cap of `compute_dims` on an oracle, which has no provable maxima;
+# a scheme's budget (`report.scheme_bound`, the CLI's --dim-cap) defaults to it too
+ORACLE_CAP = 6
 
 DimValue = int | str  # a natural or the CAP_EXCEEDED sentinel
 
@@ -82,7 +85,8 @@ class _Lattice:
     queries. Only a support the memo has not seen is built as a frozenset
     of pairs and asked. `ceilings(s)` bounds the eluder and Littlestone
     depths below a realizable state, and third the Littlestone depth once
-    one split of the state has read less than the second bound.
+    one split of the state has read less than the second bound. Searches
+    get their lattice from `_lattice`.
     """
 
     __slots__ = ("m", "top", "pairs", "meet", "ok", "ceilings")
@@ -90,7 +94,7 @@ class _Lattice:
     def __init__(self, handle: ClassHandle):
         m = self.m = handle.domain_size
         if isinstance(handle, FiniteClass):
-            # through vs_mask, once each, so pairs are validated as usual
+            # through vs_mask, as every version-space computation; once per class (`_lattice`)
             self.top = handle.vs_mask(())
             self.pairs = tuple(
                 (handle.vs_mask(((x, 0),)), handle.vs_mask(((x, 1),))) for x in range(m)
@@ -105,14 +109,20 @@ class _Lattice:
             self.ok = _memoized(handle, m)
             self.ceilings = _free_ceilings(m)
 
-    @classmethod
-    def of_masks(cls, fc: FiniteClass) -> _Lattice:
-        """The lattice of a FiniteClass read straight from its pair masks,
-        with no `vs_mask` call, for searches that validate their own pairs."""
-        lat = cls.__new__(cls)
-        lat.m, lat.top, lat.pairs = fc.domain_size, fc.full_mask, fc._masks
-        lat.meet, lat.ok, lat.ceilings = and_, bool, _version_ceilings
-        return lat
+
+def _lattice(handle: ClassHandle) -> _Lattice:
+    """The support lattice of one search on `handle`.
+
+    A FiniteClass's lattice holds no memo, so one is built per class and
+    kept in its `_derived` table; an oracle's holds the memo of the
+    search, so each call builds a fresh one.
+    """
+    if not isinstance(handle, FiniteClass):
+        return _Lattice(handle)
+    lat = handle._derived.get("lattice")
+    if lat is None:
+        lat = handle._derived["lattice"] = _Lattice(handle)
+    return lat  # type: ignore[return-value]
 
 
 def _version_ceilings(mask: int) -> tuple[int, int, int]:
@@ -466,23 +476,23 @@ def _caps(handle: ClassHandle, cap: int | None) -> dict[str, int]:
 
 
 def vc_dimension(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    return _vc_search(_Lattice(handle), _caps(handle, cap)["vc"])[0]
+    return _vc_search(_lattice(handle), _caps(handle, cap)["vc"])[0]
 
 
 def star_number(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    return _star_search(_Lattice(handle), _caps(handle, cap)["star"])[0]
+    return _star_search(_lattice(handle), _caps(handle, cap)["star"])[0]
 
 
 def hollow_star_number(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    return _hollow_search(_Lattice(handle), _caps(handle, cap)["hollow_star"])[0]
+    return _hollow_search(_lattice(handle), _caps(handle, cap)["hollow_star"])[0]
 
 
 def eluder_dimension(handle: ClassHandle, cap: int | None = None) -> DimValue:
-    return _split_search(_Lattice(handle), _caps(handle, cap)["eluder"])[0][0]
+    return _split_search(_lattice(handle), _caps(handle, cap)["eluder"])[0][0]
 
 
 def littlestone_dimension(handle: ClassHandle) -> int:
-    return _split_search(_Lattice(handle), handle.domain_size)[1][0]
+    return _split_search(_lattice(handle), handle.domain_size)[1][0]
 
 
 # Witness verifiers. Each builds every support it needs explicitly and asks
@@ -599,13 +609,13 @@ def compute_dims(
 
     For finite classes the default caps are the provable maxima, so the
     values are exact and the sentinel cannot appear. Oracle classes use
-    `cap` (default 6) for every capped search and skip only the
+    `cap` (default ORACLE_CAP, 6) for every capped search and skip only the
     identification set, which needs the hypothesis list; Littlestone has
     no cap and is exact on every handle.
     """
-    lat = _Lattice(handle)
+    lat = _lattice(handle)
     finite = isinstance(handle, FiniteClass)
-    caps = _caps(handle, 6 if cap is None and not finite else cap)
+    caps = _caps(handle, ORACLE_CAP if cap is None and not finite else cap)
 
     # the exact Littlestone dimension bounds VC, and the star number hollow
     (eluder, eluder_w), (ls, ls_tree) = _split_search(lat, caps["eluder"])

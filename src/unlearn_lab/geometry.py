@@ -59,7 +59,7 @@ def _margin_row(point: Point, label: int) -> tuple[tuple[int, ...], int]:
 
     A positive asks w.x - b >= 1, a negative w.x - b <= -1; both are
     written as coeffs . (w, b) <= rhs and multiplied by the lcm of the
-    point's denominators.
+    point's denominators, so rhs is negative.
     """
     ints, den = _integers(point)
     if label:
@@ -68,22 +68,21 @@ def _margin_row(point: Point, label: int) -> tuple[tuple[int, ...], int]:
 
 
 def _clean(rows):
-    """Drop trivial rows and keep one row per direction, the one with the smallest rhs.
+    """Keep one row per direction, the one with the smallest rhs.
 
-    Rows are (coeffs, rhs, mask) and are keyed on their coefficients
-    divided by their gcd, so rows that are positive multiples of each
-    other share a key; right-hand sides are compared per unit of that gcd
-    by cross-multiplication, and the first row wins on ties. A kept row
-    keeps its mask. Returns the mask of the first violated trivial row
-    (0 <= rhs < 0) instead, if there is one.
+    Rows are (coeffs, rhs, mask) with rhs < 0 and are keyed on their
+    coefficients divided by their gcd, so rows that are positive multiples
+    of each other share a key; right-hand sides are compared per unit of
+    that gcd by cross-multiplication, and the first row wins on ties. A
+    kept row keeps its mask. A trivial row (all coefficients 0) reads
+    0 <= rhs < 0, so the mask of the first one is returned instead, if
+    there is one.
     """
     out = {}
     for coeffs, rhs, mask in rows:
         g = gcd(*coeffs)
         if not g:
-            if rhs < 0:
-                return mask
-            continue
+            return mask
         key = coeffs if g == 1 else tuple(c // g for c in coeffs)
         prev = out.get(key)
         if prev is None or rhs * prev[1] < prev[0][1] * g:
@@ -100,21 +99,21 @@ def _clean(rows):
 def _fm_point(rows, nvars: int, cap: int) -> tuple[list[int], int] | int:
     """Feasible point of {coeffs . v <= rhs} over integer rows, or a Farkas mask.
 
-    Rows are (coeffs, rhs, mask), where the mask's set bits name the input
-    rows the row combines: input row i carries 1 << i, and a combined row
-    the OR of its parents' masks. Eliminates one occupied variable per
-    level (fewest pos*neg pairings first), recurses, then back-substitutes
-    a value inside the bounds the eliminated rows impose. Every row is
-    kept in integers: a combined row is an integer positive combination of
-    its parents, so the rows are the rows of rational elimination up to
-    positive scale, and the point found is the same. It is returned as
-    (numerators, positive denominator), the numerators over the lcm of the
-    coordinates' denominators.
+    Rows are (coeffs, rhs, mask) with rhs < 0 (margin rows, `_margin_row`),
+    where the mask's set bits name the input rows the row combines: input
+    row i carries 1 << i, and a combined row the OR of its parents' masks.
+    Eliminates one occupied variable per level (fewest pos*neg pairings
+    first), recurses, then back-substitutes a value inside the bounds the
+    eliminated rows impose. Every row is kept in integers: a combined row
+    is an integer positive combination of its parents, so the rows are the
+    rows of rational elimination up to positive scale, and the point found
+    is the same. It is returned as (numerators, positive denominator), the
+    numerators over the lcm of the coordinates' denominators.
 
-    A violated trivial row 0 <= rhs < 0 is a positive combination of
-    exactly the input rows in its mask, so by Farkas' lemma those rows
-    alone are infeasible. When the system is infeasible, that mask is
-    returned.
+    A combined row is a positive combination of exactly the input rows in
+    its mask, so its rhs stays negative, and a trivial one (0 <= rhs < 0)
+    shows by Farkas' lemma that those rows alone are infeasible. When the
+    system is infeasible, that mask is returned.
     """
     rows = _clean(rows)
     if type(rows) is int:
@@ -321,11 +320,12 @@ class HalfspaceOracle:
     bitmask (bit 2*x + y) in `_cores`. A support whose bitmask holds some
     core is unrealizable (a superset of an unrealizable set is), and so
     is one that puts a point under both labels. Only when no rule answers
-    does Fourier-Motzkin run, so an indexed answer never reaches
-    `row_cap`. Each point is converted to integers on its first query.
+    does Fourier-Motzkin run, under `DEFAULT_ROW_CAP`, so an indexed answer
+    never reaches the cap. Each point is converted to integers on its
+    first query.
     """
 
-    def __init__(self, points: Sequence[Iterable], row_cap: int = DEFAULT_ROW_CAP):
+    def __init__(self, points: Sequence[Iterable]):
         pts = [as_point(p) for p in points]
         if not pts:
             raise ValueError("need at least one domain point")
@@ -334,12 +334,11 @@ class HalfspaceOracle:
             raise ValueError("all points must share one dimension")
         self.points: tuple[Point, ...] = tuple(pts)
         self.domain_size = len(pts)
-        self.row_cap = row_cap
         self._memo: dict[frozenset[Pair], bool] = {}
         self._rows: list[tuple | None] = [None] * len(pts)
         # bit i of _agree[2*x + y]: labeling i gives point x label y
         self._agree = [0] * (2 * len(pts))
-        self._labelings: set[tuple[int, ...]] = set()  # per point: 1 for label 1, -1 for label 0
+        self._n_labelings = 0  # labelings recorded, so bits in use in _agree
         # unrealizable supports FM named, as pair bitmasks: bit 2*x + y for pair (x, y)
         self._cores: list[int] = []
 
@@ -362,6 +361,11 @@ class HalfspaceOracle:
         points two labelings are recorded, all of them on label 1 and all
         on label 0; without, one. A labeling is the tuple of the points'
         signs, 1 for label 1 and -1 for label 0.
+
+        Neither labeling is recorded already: `_decide` runs only when no
+        recorded labeling agrees with the support, and both agree with it,
+        since the separator puts every support point strictly on its
+        label's side (at margin 1).
         """
         sides = []
         for x in range(self.domain_size):
@@ -371,10 +375,8 @@ class HalfspaceOracle:
             tuple(1 if side > 0 else -1 for side in sides),
             tuple(1 if side >= 0 else -1 for side in sides),
         }:
-            if labeling in self._labelings:
-                continue
-            bit = 1 << len(self._labelings)
-            self._labelings.add(labeling)
+            bit = 1 << self._n_labelings
+            self._n_labelings += 1
             for x, sign in enumerate(labeling):
                 self._agree[2 * x + (sign > 0)] |= bit
 
@@ -428,7 +430,7 @@ class HalfspaceOracle:
         if any(self._point_rows(x)[1] in positives for x, y in fs if not y):
             return False  # one point under both labels
         rows = [self._point_rows(x)[y] for x, y in fs]
-        found = _solve(rows, self.dim + 1, self.row_cap)
+        found = _solve(rows, self.dim + 1, DEFAULT_ROW_CAP)
         if type(found) is int:  # the Farkas rows, in the order fs gave them
             core = 0
             for i, (x, y) in enumerate(fs):

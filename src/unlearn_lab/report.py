@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from math import log2
 
-from .core import ClassHandle, count_bits, dataset_bits, pair_bits
-from .dimensions import CAP_EXCEEDED, hollow_star_number, star_number
+from .core import ClassHandle, count_bits, dataset_bits, pair_bits, pair_cap
+from .dimensions import CAP_EXCEEDED, ORACLE_CAP, hollow_star_number, star_number
 from .schemes_ticketed import tree_depth
 
 # Fixed constant for the successor-chain scheme's size check:
@@ -29,7 +29,7 @@ def scheme_bound(
     k: int | None = None,
     encoding_cap: int | None = None,
     d: int | None = None,
-    dim_cap: int = 6,
+    dim_cap: int = ORACLE_CAP,
 ) -> dict:
     """Evaluate the theoretical size budget for one scheme run.
 
@@ -59,7 +59,7 @@ def scheme_bound(
             "dims": {"hollow_star": hollow},
         }
     if scheme in ("merkle", "erm-merkle"):
-        cap = encoding_cap if encoding_cap is not None else 2 * m
+        cap = pair_cap(m, encoding_cap)
         star = star_number(handle, cap=dim_cap)
         bits = None
         if star != CAP_EXCEEDED:

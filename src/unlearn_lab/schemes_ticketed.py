@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .compression import NodeStates, VsEncoding
 from .core import (
-    ClassHandle, Dataset, Entry, FiniteClass, _check_pair, count_bits, distinct_ids
+    ClassHandle, Dataset, Entry, FiniteClass, _check_pair, count_bits, distinct_ids, pair_cap
 )
 from .schemes_central import PreconditionError
 
@@ -144,9 +144,7 @@ class _AggregationTreeScheme:
     def __init__(self, handle: ClassHandle, encoding_cap: int | None = None):
         self.handle = handle
         self.states = NodeStates(handle)
-        self.encoding_cap = (
-            encoding_cap if encoding_cap is not None else 2 * handle.domain_size
-        )
+        self.encoding_cap = pair_cap(handle.domain_size, encoding_cap)
 
     def _learn_tree(self, data: Dataset) -> tuple[object, TicketView]:
         """The root's node state and the tickets of a tree over `data`."""

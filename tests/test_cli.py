@@ -818,3 +818,124 @@ def test_report_rejects_malformed_record_files(tmp_path, capsys, doc, where):
     code, out, err = _run(capsys, ["report", path])
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {path}: ") and where in err
+
+
+# the command that reads each kind of file; {bad} is the file under test
+_READERS = {
+    "class": ["dims", "{bad}"],
+    "dataset": ["vs-encode", "{cls}", "{bad}"],
+    "query": ["scheme", "run", "--scheme", "trivial", "--class", "{cls}", "--dataset", "{data}",
+              "--queries", "{bad}"],
+    "encoding": ["merge", "{cls}", "{bad}", "{bad}"],
+}
+
+
+def _read_file(tmp_path, thr4_file, capsys, kind, doc):
+    bad = _write(tmp_path / "bad.json", doc)
+    data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}]})
+    code, out, err = _run(capsys, [a.format(bad=bad, cls=thr4_file, data=data) for a in _READERS[kind]])
+    return code, out, err, bad
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("dataset", {"items": 5}, "'items' must be a list, got 5"),
+    ("query", {"queries": 5}, "'queries' must be a list, got 5"),
+    ("class", {"domain": 3, "hypotheses": 5}, "'hypotheses' must be a list, got 5"),
+    ("class", {"domain": 3, "hypotheses": [[0, 1, 1], 7]}, "hypothesis 2 must be a list, got 7"),
+    ("class", {"domain": [[0], [1]], "hypotheses": 3}, "'hypotheses' must be a list, got 3"),
+    ("class", {"generator": 5}, "'generator' must be an object, got 5"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": 5},
+     "'domain', when not an object, must be a list, got 5"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": [0, 1]},
+     "domain point 1 must be a list, got 0"),
+    ("encoding", {"kind": "realizable", "pairs": 5}, "'pairs' must be a list, got 5")])
+def test_a_value_of_the_wrong_shape_is_a_format_error(tmp_path, thr4_file, capsys, kind, doc, message):
+    code, out, err, bad = _read_file(tmp_path, thr4_file, capsys, kind, doc)
+    assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("class", [1], "class file must be a JSON object"),
+    ("class", {"domain": 2}, "class file needs 'hypotheses' or 'generator'"),
+    ("class", {"domain": 2, "hypotheses": [[0, 1, 1]]}, "hypothesis row length must equal domain size"),
+    ("class", {"generator": {"kind": "cubes"}}, "unknown generator kind 'cubes'"),
+    ("class", {"generator": {"kind": "tilu-ub", "d": 2}},
+     "generator 'tilu-ub' is missing parameter 'domain_size'"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}}, "halfspace classes need a domain"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": {"kind": "cube"}},
+     "unknown domain kind 'cube'"),
+    ("class", {"generator": {"kind": "halfspace", "d": 2}, "domain": [[0], [1]]},
+     "domain points have dimension 1, expected 2"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": [[True]]}, "bad rational True"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": [["1/x"]]}, "bad rational '1/x'"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": [[None]]}, "bad rational None"),
+    ("dataset", {"points": []}, "dataset file must be an object with 'items'"),
+    ("dataset", {"items": [[0, 1]]}, "item 1 must be an object with 'x' and 'y'"),
+    ("dataset", {"items": [{"x": 0, "y": 2}]}, "labels must be 0 or 1"),
+    ("query", {"ids": [1]}, "query file needs 'indices' or 'queries'"),
+    ("query", {"indices": 1}, "query 1 must list indices"),
+    ("query", {"queries": [{"indices": [1, 1]}]}, "query 1 repeats index 1"),
+    ("encoding", {"pairs": []}, "encoding file needs a 'kind'"),
+    ("encoding", {"kind": "other"}, "unknown encoding kind 'other'"),
+    ("encoding", {"kind": "realizable", "pairs": [[0, 1, 1]]}, "encoding pairs must be [x, y] lists")])
+def test_each_malformed_file_names_itself_in_one_error_line(tmp_path, thr4_file, capsys, kind, doc, message):
+    code, out, err, bad = _read_file(tmp_path, thr4_file, capsys, kind, doc)
+    assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
+
+
+def test_float_coordinates_read_as_their_decimal_rationals(tmp_path, capsys):
+    spec = {"kind": "halfspace", "d": 1}
+    floats = _write(tmp_path / "f.json", {"generator": spec, "domain": [[0.5], [-1.25], [3]]})
+    strings = _write(tmp_path / "s.json", {"generator": spec, "domain": [["1/2"], ["-5/4"], [3]]})
+    assert _dims_without_class(capsys, floats) == _dims_without_class(capsys, strings)
+
+
+def test_a_non_integer_seed_variable_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("UNLEARN_LAB_SEED", "seven")
+    code, out, err = _run(capsys, ["lb", "demo", "--instance", "shatter"])
+    assert (code, out, err) == (1, "", "error: UNLEARN_LAB_SEED must be an integer, got 'seven'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scheme", "run", "--scheme", "chain", "--class", "{hs}", "--dataset", "{data}"],
+     "the chain scheme needs a tilu-ub class file"),
+    (["scheme", "run", "--scheme", "trivial-erm", "--class", "{hs}", "--dataset", "{data}"],
+     "ERM schemes need an explicit finite class"),
+    (["scheme", "run", "--scheme", "erm-merkle", "--class", "{hs}", "--dataset", "{data}"],
+     "ERM schemes need an explicit finite class"),
+    (["lb", "demo", "--instance", "vclb", "--scheme", "trivial-erm"],
+     "realizability instances need a realizability scheme"),
+    (["lb", "demo", "--instance", "vclb", "--params", "[1,"],
+     "--params is not valid JSON: Expecting value"),
+    (["lb", "demo", "--instance", "shatter", "--secret", "01"], "--secret must be 3 bits of 0/1"),
+    (["lb", "demo", "--instance", "shatter", "--secret", "012"], "--secret must be 3 bits of 0/1")])
+def test_unusable_invocations_exit_2_with_one_error_line(tmp_path, capsys, argv, message):
+    hs = _write(tmp_path / "hs.json", {"generator": {"kind": "halfspace", "d": 1}, "domain": [[0], [1]]})
+    data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}]})
+    code, out, err = _run(capsys, [a.format(hs=hs, data=data) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["dims", "{cls}", "--witness"], ["report", "{rec}"]])
+def test_out_writes_what_stdout_prints(tmp_path, thr4_file, capsys, argv):
+    data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}]})
+    rec = tmp_path / "r.json"
+    _run(capsys, ["scheme", "run", "--scheme", "trivial", "--class", thr4_file,
+                  "--dataset", data, "--record", str(rec)])
+    argv = [a.format(cls=thr4_file, rec=rec) for a in argv]
+    code, printed, _ = _run(capsys, argv)
+    out = tmp_path / "out.json"
+    code_out, nothing, _ = _run(capsys, argv + ["--out", str(out)])
+    assert code == code_out == 0 and nothing == ""
+    assert json.loads(printed) and out.read_text() == printed
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("bounded", "the bounded scheme budget needs k"),
+    ("chain", "the chain scheme budget needs d"),
+    ("lottery", "unknown scheme 'lottery'")])
+def test_scheme_bound_rejects_what_it_cannot_price(scheme, message):
+    from unlearn_lab.report import scheme_bound
+
+    with pytest.raises(ValueError, match=message):
+        scheme_bound(scheme, thresholds_1d(3), 3)

@@ -312,3 +312,24 @@ def test_both_labels_rule_answers_and_errors_like_a_pairwise_scan():
                 else:
                     kinds["answer"] += 1
     assert min(kinds.values()) > 0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FiniteClass(0, [[]]), "domain size must be at least 1"),
+    (lambda: FiniteClass(2, []), "a hypothesis class needs at least one hypothesis"),
+    (lambda: FiniteClass(2, [[0, 1, 1]]), "hypothesis row length must equal domain size"),
+    (lambda: FiniteClass(2, [[0, 2]]), "hypothesis rows must be 0/1 valued"),
+    (lambda: thresholds_1d(2).indices_to_mask([0, 3]), "hypothesis index 3 out of range"),
+    (lambda: Dataset([(0, (0, 1))]), "item ids must be positive"),
+    (lambda: Dataset([(1, (0, 1)), (1, (1, 0))]), "duplicate item id 1"),
+    (lambda: Dataset([(1, (0, 2))]), "labels must be 0 or 1"),
+    (lambda: pair_bits(0), "domain size must be at least 1"),
+    (lambda: count_bits(-1), "counts are nonnegative")])
+def test_bad_values_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_reprs_name_the_class_size_and_the_entries():
+    assert repr(thresholds_1d(2)) == "FiniteClass(m=2, hypotheses=3)"
+    assert repr(Dataset([(2, (0, 1)), (5, (1, 0))])) == "Dataset([(2, (0, 1)), (5, (1, 0))])"

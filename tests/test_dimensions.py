@@ -231,6 +231,7 @@ def test_littlestone_verifier_rejects_an_unrealizable_branch():
     fc = thresholds_1d(4)
     for handle in (fc, as_oracle(fc)):
         assert verify_littlestone_tree(handle, (1, None, None), 1)
+        assert not verify_littlestone_tree(handle, (1, None, None), 2)  # a leaf one level early
         assert not verify_littlestone_tree(handle, tree2, 2)
     rays = HalfspaceOracle([(i,) for i in range(4)])
     assert verify_littlestone_tree(rays, tree2, 2)
@@ -780,3 +781,25 @@ def test_identification_sets_hold_every_forced_point():
         assert verify_identification_set(fc, witness)
         forced_somewhere += bool(forced)
     assert forced_somewhere > 0
+
+
+def test_a_repeated_point_is_not_shattered():
+    fc = all_labelings(2)
+    assert verify_shattered(fc, (1,)) and not verify_shattered(fc, (1, 1))
+
+
+class _NothingRealizable:
+    """An oracle under which only the empty support is realizable."""
+
+    def __init__(self, m):
+        self.domain_size = m
+
+    def is_realizable_pairs(self, pairs):
+        return not frozenset(pairs)
+
+
+def test_a_class_that_realizes_no_pair_has_no_hollow_star_set():
+    oracle = _NothingRealizable(3)
+    assert hollow_star_number(oracle) == 0
+    rep = compute_dims(oracle)
+    assert (rep.hollow_star, rep.witnesses["hollow_star"]) == (0, None)

@@ -437,6 +437,17 @@ def _random_domain(rng, d, n):
     return pts
 
 
+def _recorded_labelings(oracle):
+    """The labelings an oracle has recorded, read back from `_agree`: labeling
+    i gives point x the sign 1 (label 1) exactly when bit i of
+    `_agree[2x+1]` is set, and -1 (label 0) otherwise."""
+    count = max(map(int.bit_length, oracle._agree))
+    return {
+        tuple(1 if oracle._agree[2 * x + 1] >> i & 1 else -1 for x in range(oracle.domain_size))
+        for i in range(count)
+    }
+
+
 def _watch_records(monkeypatch):
     """Log every separator `HalfspaceOracle` records as (oracle, the sign of
     w.x - b at each domain point, the labelings the record added)."""
@@ -444,11 +455,11 @@ def _watch_records(monkeypatch):
     log = []
 
     def watching(self, separator):
-        before = set(self._labelings)
+        before = _recorded_labelings(self)
         real(self, separator)
         w, b = separator[: self.dim], separator[self.dim]
         sides = [sum(c * v for c, v in zip(w, p)) - b for p in self.points]
-        log.append((self, tuple((s > 0) - (s < 0) for s in sides), self._labelings - before))
+        log.append((self, tuple((s > 0) - (s < 0) for s in sides), _recorded_labelings(self) - before))
 
     monkeypatch.setattr(HalfspaceOracle, "_record", watching)
     return log
@@ -513,7 +524,7 @@ def test_separators_record_full_realizable_labelings(monkeypatch):
         for _ in range(25):
             labels = {x: rng.randint(0, 1) for x in rng.sample(range(n), rng.randint(1, n))}
             oracle.is_realizable_pairs(frozenset(labels.items()))
-        for labeling in oracle._labelings:
+        for labeling in _recorded_labelings(oracle):
             assert len(labeling) == n and set(labeling) <= {1, -1}
             pos = [p for p, sign in zip(pts, labeling) if sign > 0]
             neg = [p for p, sign in zip(pts, labeling) if sign < 0]
@@ -524,7 +535,7 @@ def test_separators_record_full_realizable_labelings(monkeypatch):
             off = [x for x in range(n) if signs[x]]
             for y in (0, 1):
                 fill = tuple(sign or 2 * y - 1 for sign in signs)
-                assert fill in oracle._labelings
+                assert fill in _recorded_labelings(oracle)
                 kept = rng.sample(off, rng.randint(0, len(off)))
                 support = frozenset((x, int(fill[x] > 0)) for x in on + kept)
                 if support in oracle._memo:
@@ -592,3 +603,20 @@ def test_unrealizable_cores(monkeypatch, d):
                 assert state["solves"] == solves
                 supersets += 1
     assert recorded > 0 and supersets > 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HalfspaceOracle([]), "need at least one domain point"),
+    (lambda: HalfspaceOracle([(0,), (0, 1)]), "all points must share one dimension"),
+    (lambda: strictly_separable([(0,)], [(0, 1)]), "all points must share one dimension"),
+    (lambda: face_centroid_id(4, 2, (0, 0)), r"\(0, 0\) is not a k-subset of range\(4\)"),
+    (lambda: margin((1,), 0, []), "margin needs at least one labeled point"),
+    (lambda: margin((1,), 0, [((1,), 1)], norm="linf"), "unknown norm 'linf'"),
+    (lambda: margin((0,), -1, [((1,), 1)]), "zero weight vector")])
+def test_bad_geometry_inputs_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_no_points_are_separated_by_the_zero_halfspace():
+    assert strictly_separable([], []) == (True, ((), Fraction(0)))

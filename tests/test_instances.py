@@ -277,3 +277,26 @@ def test_unlearn_entries_carry_only_the_bits_already_recovered(family):
         for step, (pos, entries) in enumerate(zip(inst.recovery_order, scheme.deleted)):
             known = tuple(z[q - 1] for q in inst.recovery_order[:step])
             assert entries_at.setdefault((pos, known), entries) == entries, (z, pos)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: thresholds_1d(0), "m must be at least 1"),
+    (lambda: parity_class(5), "parity classes are generated for 1 <= d <= 4"),
+    (lambda: all_labelings(0), "the full cube is generated for 1 <= m <= 4"),
+    (lambda: tilu_ub_class(5, 6), "the free-prefix class is generated for 1 <= d <= 4"),
+    (lambda: tilu_ub_class(3, 2), "domain must cover the free prefix"),
+    (lambda: eluder_lb_instance(thresholds_1d(4), ((0, 0),), 1), "need room for at least one secret bit"),
+    (lambda: whitebox_erm_reduction(halfspace_lb_instance(4, 2)),
+     "the ERM reduction needs an explicit finite class")])
+def test_generators_and_families_reject_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("secret, message", [
+    ((0, 1), "secret must have 3 bits"),
+    ((0, 1, 2), "secret bits must be 0 or 1")])
+def test_adversary_rejects_a_malformed_secret(secret, message):
+    inst = shatter_lb_instance(all_labelings(3), (0, 1, 2))
+    with pytest.raises(ValueError, match=message):
+        run_adversary(inst, TrivialScheme(inst.handle), secret)

@@ -253,3 +253,11 @@ def test_bounded_learn_asks_each_precondition_once():
     handle = _CountingOracle(inst.handle)
     answer, aux = BoundedDeletionScheme(handle, 2).learn(inst.dataset_of((0,) * 6))
     assert answer is True and handle.calls == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda fc: BoundedDeletionScheme(fc, 0),
+    lambda fc: enumerate_critical_sets(fc, Dataset.from_pairs([(0, 0), (0, 1)]), 0)])
+def test_a_deletion_budget_below_one_is_rejected(thr4, call):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        call(thr4)

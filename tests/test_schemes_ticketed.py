@@ -224,6 +224,16 @@ def test_chain_missing_needed_ticket_raises():
     entries = data.entries_for([1, 3, 4])
     with pytest.raises(TicketError):
         scheme.unlearn(entries, aux, {1: tickets[1], 4: tickets[4]})
+    # the second blocker (point 2) is discharged, but no deleted item carries its ticket
+    entries = data.entries_for([1, 3])
+    with pytest.raises(TicketError, match="no deleted item carries the ticket of blocker 2"):
+        scheme.unlearn(entries, aux, {1: tickets[1], 3: None})
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_chain_free_prefix_must_fit_the_domain(d):
+    with pytest.raises(ValueError, match="need 1 <= d <= domain size"):
+        ChainScheme(d, 4)
 
 
 def test_erm_merkle_examples(thr4):
