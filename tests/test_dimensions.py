@@ -231,7 +231,6 @@ def test_littlestone_verifier_rejects_an_unrealizable_branch():
     fc = thresholds_1d(4)
     for handle in (fc, as_oracle(fc)):
         assert verify_littlestone_tree(handle, (1, None, None), 1)
-        assert not verify_littlestone_tree(handle, (1, None, None), 2)  # a leaf one level early
         assert not verify_littlestone_tree(handle, tree2, 2)
     rays = HalfspaceOracle([(i,) for i in range(4)])
     assert verify_littlestone_tree(rays, tree2, 2)
@@ -781,6 +780,13 @@ def test_identification_sets_hold_every_forced_point():
         assert verify_identification_set(fc, witness)
         forced_somewhere += bool(forced)
     assert forced_somewhere > 0
+
+
+def test_littlestone_verifier_rejects_a_tree_that_ends_early():
+    fc = thresholds_1d(4)
+    for handle in (fc, as_oracle(fc)):
+        assert not verify_littlestone_tree(handle, (1, None, None), 2)
+        assert not verify_littlestone_tree(handle, None, 1)
 
 
 def test_a_repeated_point_is_not_shattered():

@@ -224,8 +224,15 @@ def test_chain_missing_needed_ticket_raises():
     entries = data.entries_for([1, 3, 4])
     with pytest.raises(TicketError):
         scheme.unlearn(entries, aux, {1: tickets[1], 4: tickets[4]})
-    # the second blocker (point 2) is discharged, but no deleted item carries its ticket
+
+
+def test_chain_walk_needs_the_ticket_of_each_discharged_blocker():
+    scheme = ChainScheme(2, 4)
+    data = Dataset.from_pairs([(0, 0), (0, 1), (2, 1), (3, 1)])
+    _, aux, tickets = scheme.learn(data)
     entries = data.entries_for([1, 3])
+    assert scheme.unlearn(entries, aux, {1: tickets[1], 3: tickets[3]}) is False
+    # the second blocker (point 2) is discharged, but no deleted item carries its ticket
     with pytest.raises(TicketError, match="no deleted item carries the ticket of blocker 2"):
         scheme.unlearn(entries, aux, {1: tickets[1], 3: None})
 
