@@ -77,13 +77,11 @@ def _rational(value, path):
         raise FileFormatError(path, f"bad rational {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (str, float)):  # a float reads as its shortest decimal
         try:
-            return Fraction(value)
-        except ValueError:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):  # also "1/0", Infinity and NaN
             raise FileFormatError(path, f"bad rational {value!r}") from None
-    if isinstance(value, float):
-        return Fraction(str(value))
     raise FileFormatError(path, f"bad rational {value!r}")
 
 
@@ -106,65 +104,80 @@ def _check_keys(obj: dict, known: tuple[str, ...], where: str, path) -> None:
                                         f"it reads {', '.join(map(repr, known))}")
 
 
+def _param(obj: dict, key: str, where: str, path, default: int | None = None) -> int:
+    """Integer parameter `key` of a generator or domain object, or `default`
+    when it is absent; an absent one with no default is a format error."""
+    if key not in obj:
+        if default is None:
+            raise FileFormatError(path, f"{where} is missing parameter {key!r}")
+        return default
+    return _json_int(obj[key], path, f"{where} parameter {key!r}")
+
+
+def _built(path, build, *args):
+    """`build(*args)`, with a ValueError it raises (a value out of the
+    library's range) reported as a format error of the file."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise FileFormatError(path, str(exc)) from None
+
+
 def _build_generator(spec, doc: dict, path) -> tuple[ClassHandle, str]:
     if not isinstance(spec, dict):
         raise FileFormatError(path, f"'generator' must be an object, got {json.dumps(spec)}")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _GENERATOR_PARAMS:
         raise FileFormatError(path, f"unknown generator kind {kind!r}")
-    _check_keys(spec, _GENERATOR_PARAMS[kind], f"generator {kind!r}", path)
+    where = f"generator {kind!r}"
+    _check_keys(spec, _GENERATOR_PARAMS[kind], where, path)
 
     def param(key: str, default: int | None = None) -> int:
-        value = spec[key] if default is None else spec.get(key, default)
-        return _json_int(value, path, f"generator {kind!r} parameter {key!r}")
+        return _param(spec, key, where, path, default)
 
-    try:
-        if kind == "thresholds":
-            m = param("m")
-            return thresholds_1d(m), f"thresholds(m={m})"
-        if kind == "parity":
-            d = param("d")
-            return parity_class(d), f"parity(d={d})"
-        if kind == "all-labelings":
-            m = param("m")
-            return all_labelings(m), f"all-labelings(m={m})"
-        if kind == "tilu-ub":
-            d = param("d")
-            size = param("domain_size")
-            return tilu_ub_class(d, size), f"tilu-ub(d={d},domain={size})"
-        if kind == "random":
-            m = param("m", 6)
-            h = param("h", 20)
-            seed = param("seed") if "seed" in spec else env_seed()
-            rng = random.Random(seed)
-            fc = FiniteClass(m, [[rng.randint(0, 1) for _ in range(m)] for _ in range(h)])
-            return fc, f"random(m={m},h={len(fc.hypotheses)},seed={seed})"
-        if kind == "halfspace":
-            d = param("d")
-            domain = doc.get("domain")
-            if domain is None:
-                raise FileFormatError(path, "halfspace classes need a domain")
-            if isinstance(domain, dict):
-                if domain.get("kind") != "simplex-faces":
-                    raise FileFormatError(path, f"unknown domain kind {domain.get('kind')!r}")
-                _check_keys(domain, ("d", "k"), "domain 'simplex-faces'", path)
-                dd = _json_int(domain["d"], path, "simplex-faces domain parameter 'd'")
-                kk = _json_int(domain["k"], path, "simplex-faces domain parameter 'k'")
-                points = simplex_face_domain(dd, kk)
-                desc = f"halfspace(d={dd},simplex-faces(k={kk}))"
-            else:
-                rows = _json_list(domain, path, "'domain', when not an object,")
-                points = [
-                    tuple(_rational(c, path) for c in _json_list(row, path, f"domain point {pos}"))
-                    for pos, row in enumerate(rows, start=1)
-                ]
-                desc = f"halfspace(d={d},points={len(points)})"
-            oracle = HalfspaceOracle(points)
-            if oracle.dim != d:
-                raise FileFormatError(path, f"domain points have dimension {oracle.dim}, expected {d}")
-            return oracle, desc
-    except KeyError as exc:
-        raise FileFormatError(path, f"generator {kind!r} is missing parameter {exc}") from None
+    if kind == "thresholds":
+        m = param("m")
+        return _built(path, thresholds_1d, m), f"thresholds(m={m})"
+    if kind == "parity":
+        d = param("d")
+        return _built(path, parity_class, d), f"parity(d={d})"
+    if kind == "all-labelings":
+        m = param("m")
+        return _built(path, all_labelings, m), f"all-labelings(m={m})"
+    if kind == "tilu-ub":
+        d = param("d")
+        size = param("domain_size")
+        return _built(path, tilu_ub_class, d, size), f"tilu-ub(d={d},domain={size})"
+    if kind == "random":
+        m = param("m", 6)
+        h = param("h", 20)
+        seed = param("seed") if "seed" in spec else env_seed()
+        rng = random.Random(seed)
+        fc = _built(path, FiniteClass, m, [[rng.randint(0, 1) for _ in range(m)] for _ in range(h)])
+        return fc, f"random(m={m},h={len(fc.hypotheses)},seed={seed})"
+    d = param("d")  # a halfspace class
+    domain = doc.get("domain")
+    if domain is None:
+        raise FileFormatError(path, "halfspace classes need a domain")
+    if isinstance(domain, dict):
+        if domain.get("kind") != "simplex-faces":
+            raise FileFormatError(path, f"unknown domain kind {domain.get('kind')!r}")
+        _check_keys(domain, ("d", "k"), "domain 'simplex-faces'", path)
+        dd = _param(domain, "d", "simplex-faces domain", path)
+        kk = _param(domain, "k", "simplex-faces domain", path)
+        points = _built(path, simplex_face_domain, dd, kk)
+        desc = f"halfspace(d={dd},simplex-faces(k={kk}))"
+    else:
+        rows = _json_list(domain, path, "'domain', when not an object,")
+        points = [
+            tuple(_rational(c, path) for c in _json_list(row, path, f"domain point {pos}"))
+            for pos, row in enumerate(rows, start=1)
+        ]
+        desc = f"halfspace(d={d},points={len(points)})"
+    oracle = _built(path, HalfspaceOracle, points)
+    if oracle.dim != d:
+        raise FileFormatError(path, f"domain points have dimension {oracle.dim}, expected {d}")
+    return oracle, desc
 
 
 def load_class(path) -> tuple[ClassHandle, str]:
@@ -184,10 +197,7 @@ def load_class(path) -> tuple[ClassHandle, str]:
     rows = _json_list(doc["hypotheses"], path, "'hypotheses'")
     for pos, row in enumerate(rows, start=1):
         _json_list(row, path, f"hypothesis {pos}")
-    try:
-        fc = FiniteClass(m, rows)
-    except ValueError as exc:
-        raise FileFormatError(path, str(exc)) from None
+    fc = _built(path, FiniteClass, m, rows)
     return fc, f"explicit(m={m},h={len(fc.hypotheses)})"
 
 
@@ -211,7 +221,11 @@ def load_dataset(path, handle: ClassHandle) -> Dataset:
     return data
 
 
-def load_queries(path, data: Dataset | None = None) -> list[frozenset[int]]:
+def load_queries(path, data: Dataset) -> list[frozenset[int]]:
+    """The queries of a query file, each a set of ids of `data`.
+
+    A repeated index, or an id that `data` does not hold, is a format error.
+    """
     doc = _load_json(path)
     if isinstance(doc, dict) and "indices" in doc:
         raw = [doc["indices"]]
@@ -222,7 +236,7 @@ def load_queries(path, data: Dataset | None = None) -> list[frozenset[int]]:
         ]
     else:
         raise FileFormatError(path, "query file needs 'indices' or 'queries'")
-    known = None if data is None else data.by_id
+    known = data.by_id
     out = []
     for qi, indices in enumerate(raw, start=1):
         if not isinstance(indices, list):
@@ -232,11 +246,10 @@ def load_queries(path, data: Dataset | None = None) -> list[frozenset[int]]:
             if _json_int(i, path, f"query {qi} index") in seen:
                 raise FileFormatError(path, f"query {qi} repeats index {i}")
             seen.add(i)
-        if known is not None:
-            # only the query's own ids, so q queries cost their sizes, not q times n
-            unknown = [i for i in seen if i not in known]
-            if unknown:
-                raise FileFormatError(path, f"query {qi} references unknown items {sorted(unknown)}")
+        # only the query's own ids, so q queries cost their sizes, not q times n
+        unknown = [i for i in seen if i not in known]
+        if unknown:
+            raise FileFormatError(path, f"query {qi} references unknown items {sorted(unknown)}")
         out.append(frozenset(seen))
     return out
 

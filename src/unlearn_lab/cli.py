@@ -26,6 +26,7 @@ from .instances import (
     all_labelings,
     eluder_lb_instance,
     halfspace_lb_instance,
+    learn_with_tickets,
     run_adversary,
     shatter_lb_instance,
     thresholds_1d,
@@ -151,8 +152,7 @@ def _cmd_scheme_run(args) -> int:
     data = classfiles.load_dataset(args.dataset, handle)
     queries = classfiles.load_queries(args.queries, data) if args.queries else [frozenset()]
     scheme = _build_scheme(args.scheme, handle, args.k, args.encoding_cap)
-    answer, aux, *issued = scheme.learn(data)
-    tickets = issued[0] if issued else {}  # central schemes issue none
+    answer, aux, tickets = learn_with_tickets(scheme, data)
     answers = []
     for q in queries:
         sub = {i: tickets[i] for i in sorted(q)} if tickets else {}

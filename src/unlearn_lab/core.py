@@ -93,7 +93,7 @@ class FiniteClass:
             masks.append((full ^ m1, m1))
         self._masks: tuple[tuple[int, int], ...] = tuple(masks)
         self._full_mask = full
-        # insert-only memo tables for canonical encodings and derived values
+        # insert-only memo tables: canonical encodings by mask, and the class's support lattice
         self._canon_cache: dict[int, object] = {}
         self._derived: dict[str, object] = {}
 
@@ -117,14 +117,9 @@ class FiniteClass:
         the version space.
         """
         mask = self._full_mask
-        pairs = iter(pairs)
         for x, y in pairs:
             _check_pair((x, y), self.domain_size)
             mask &= self._masks[x][y]
-            if not mask:
-                for rest in pairs:
-                    _check_pair(rest, self.domain_size)
-                return 0
         return mask
 
     def mask_to_indices(self, mask: int) -> frozenset[int]:
@@ -174,11 +169,12 @@ class Dataset:
     `by_id` is a read-only view of it, and `entries` builds the (id, pair)
     tuple from it on each read. `remove` validates the query, copies the
     dict and deletes the removed ids: it touches each survivor once, in C,
-    and builds no tuple. `len`, iteration, `pairs()` and `support()` read
-    the dict directly.
+    and builds no tuple. `len`, iteration, `pairs()`, `support()` and
+    `distinct_pairs()` read the dict directly and keep nothing: each
+    `support()` is a fresh Counter that its caller may change.
     """
 
-    __slots__ = ("_by_id", "_support")
+    __slots__ = ("_by_id",)
 
     def __init__(self, entries: Iterable[Entry]):
         # every entry is converted before any is validated, which decides the error raised
@@ -193,14 +189,12 @@ class Dataset:
                 raise ValueError("labels must be 0 or 1")
             by_id[i] = pair
         self._by_id = by_id
-        self._support: Counter | None = None
 
     @classmethod
     def _trusted(cls, by_id: dict[int, Pair]) -> "Dataset":
         """A dataset over an id -> normalized pair dict whose ids are known to be valid."""
         out = cls.__new__(cls)
         out._by_id = by_id
-        out._support = None
         return out
 
     @classmethod
@@ -242,12 +236,10 @@ class Dataset:
         return tuple(self._by_id.values())
 
     def support(self) -> Counter:
-        if self._support is None:
-            self._support = Counter(self._by_id.values())
-        return self._support
+        return Counter(self._by_id.values())
 
     def distinct_pairs(self) -> frozenset[Pair]:
-        return frozenset(self.support())
+        return frozenset(self._by_id.values())
 
     def remove(self, indices: Iterable[int]) -> "Dataset":
         idx = validate_query(self, indices)

@@ -453,11 +453,7 @@ def _identify(fc: FiniteClass, free: list[int], need: int, start: int, cells: li
 
 def min_identification_set(fc: FiniteClass) -> tuple[int, ...]:
     """Smallest point set on which hypothesis labels are pairwise distinct."""
-    cached = fc._derived.get("mis")
-    if cached is None:
-        cached = _mis_search(fc)
-        fc._derived["mis"] = cached
-    return cached  # type: ignore[return-value]
+    return _mis_search(fc)
 
 
 def _caps(handle: ClassHandle, cap: int | None) -> dict[str, int]:

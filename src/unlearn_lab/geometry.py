@@ -195,14 +195,14 @@ def _solve(rows, nvars: int, cap: int) -> tuple[list[Fraction], list[int]] | int
 
 
 def strictly_separable(
-    positives: Sequence[Iterable],
-    negatives: Sequence[Iterable],
-    row_cap: int = DEFAULT_ROW_CAP,
+    positives: Sequence[Iterable], negatives: Sequence[Iterable]
 ) -> tuple[bool, tuple[Point, Fraction] | None]:
     """Decide strict separability of two finite rational point sets.
 
     Returns (True, (w, b)) with an exact witness satisfying w.x > b on
     every positive and w.x < b on every negative, or (False, None).
+    Fourier-Motzkin runs under `DEFAULT_ROW_CAP`, read at call time, and
+    raises SeparabilityCapExceeded past it.
     """
     pos = [as_point(p) for p in positives]
     neg = [as_point(q) for q in negatives]
@@ -213,7 +213,7 @@ def strictly_separable(
     if any(len(p) != d for p in pts):
         raise ValueError("all points must share one dimension")
     rows = [_margin_row(p, 1) for p in pos] + [_margin_row(q, 0) for q in neg]
-    found = _solve(rows, d + 1, row_cap)  # variables w_0..w_{d-1}, b
+    found = _solve(rows, d + 1, DEFAULT_ROW_CAP)  # variables w_0..w_{d-1}, b
     if type(found) is int:
         return False, None
     sol = found[0]
@@ -389,9 +389,12 @@ class HalfspaceOracle:
         miss is read in one loop that normalises each pair to ints,
         validates it and folds it into the `_agree` AND and the pair
         bitmask. It is memoized as given if all its pairs were exact int
-        pairs, else as the frozenset of the normalised pairs, looked up
-        again first. Every miss is validated, so an out-of-domain support
-        raises ValueError however often it is asked.
+        pairs, else as the frozenset of the normalised pairs. Every miss
+        is validated, so an out-of-domain support raises ValueError however
+        often it is asked. A repeat of a support that was normalised runs
+        no Fourier-Motzkin: if it is realizable, a recorded labeling agrees
+        with it; if not, `_decide` answers it from the core it kept or from
+        a point under both labels.
         """
         memo = self._memo
         as_given = type(pairs) is frozenset
@@ -409,13 +412,7 @@ class HalfspaceOracle:
             common &= agree[2 * x + y]
             mask |= 1 << (2 * x + y)
             norm.append(pair)
-        if as_given:
-            fs = pairs
-        else:
-            fs = frozenset(norm)
-            hit = memo.get(fs)
-            if hit is not None:
-                return hit
+        fs = pairs if as_given else frozenset(norm)
         # a recorded labeling agrees with every pair, or else decide
         result = memo[fs] = bool(common) or self._decide(fs, mask)
         return result

@@ -360,6 +360,13 @@ class AdversaryRun:
         return max(self.ticket_bits, default=0)
 
 
+def learn_with_tickets(scheme, data: Dataset) -> tuple[object, object, dict]:
+    """`scheme.learn(data)` as (answer, aux, tickets): a ticketed scheme
+    returns its tickets, and a central scheme, which issues none, gets {}."""
+    answer, aux, *issued = scheme.learn(data)
+    return answer, aux, issued[0] if issued else {}
+
+
 def run_adversary(inst: LbInstance, scheme, z: Sequence[int]) -> AdversaryRun:
     """Recover the hidden bits using only the scheme's learn/unlearn surface.
 
@@ -369,8 +376,7 @@ def run_adversary(inst: LbInstance, scheme, z: Sequence[int]) -> AdversaryRun:
     """
     bits = _check_secret(inst, z)
     data = inst.dataset_of(bits)
-    _, aux, *issued = scheme.learn(data)
-    tickets = issued[0] if issued else {}  # central schemes issue none
+    _, aux, tickets = learn_with_tickets(scheme, data)
     # a generator: central schemes define no ticket_bits
     ticket_sizes = tuple(scheme.ticket_bits(t) for t in tickets.values())
     recovered: dict[int, int] = dict(inst.fixed_bits or {})

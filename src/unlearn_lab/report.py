@@ -93,12 +93,25 @@ def make_record(
     *,
     k: int | None = None,
     ticket_bits: tuple[int, ...] = (),
-    bound: dict | None = None,
+    bound: dict,
 ) -> dict:
+    """The run record of one scheme run, checked against its `scheme_bound`.
+
+    "bound_ok" compares the larger of the aux size and the largest ticket
+    with the budget, and is None when the budget has no finite "bits".
+    """
     max_ticket = max(ticket_bits, default=0)
     mean_ticket = (sum(ticket_bits) / len(ticket_bits)) if ticket_bits else 0.0
     measured = max(aux_bits, max_ticket) if ticket_bits else aux_bits
-    record = {
+    if bound["bits"] is None:
+        ok = None
+    elif "log2_of" in bound:
+        # measured <= log2(P) exactly when 2**measured <= P, that is when
+        # measured < P.bit_length(): decided in integers, not on the float
+        ok = measured < bound["log2_of"].bit_length()
+    else:
+        ok = measured <= bound["bits"]
+    return {
         "v": SCHEMA_VERSION,
         "kind": "scheme-run",
         "scheme": scheme,
@@ -108,21 +121,9 @@ def make_record(
         "aux_bits": aux_bits,
         "max_ticket_bits": max_ticket if ticket_bits else None,
         "mean_ticket_bits": mean_ticket if ticket_bits else None,
-        "bound": None,
-        "bound_ok": None,
+        "bound": {"name": bound["name"], "bits": bound["bits"], "dims": bound["dims"]},
+        "bound_ok": ok,
     }
-    if bound is not None:
-        if bound["bits"] is None:
-            ok = None
-        elif "log2_of" in bound:
-            # measured <= log2(P) exactly when 2**measured <= P, that is when
-            # measured < P.bit_length(): decided in integers, not on the float
-            ok = measured < bound["log2_of"].bit_length()
-        else:
-            ok = measured <= bound["bits"]
-        record["bound"] = {"name": bound["name"], "bits": bound["bits"], "dims": bound["dims"]}
-        record["bound_ok"] = ok
-    return record
 
 
 def _sort_key(record: dict):

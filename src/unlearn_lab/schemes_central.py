@@ -183,8 +183,8 @@ class BoundedDeletionScheme:
         if ok(support):
             return True, CriticalIndex(True, self.k, len(data))
         sets = _critical_sets(ok, support, self.k)
-        mentioned = {pair for s in sets for pair in s}
-        counts = {pair: data.support()[pair] for pair in sorted(mentioned)}
+        mentioned, have = {pair for s in sets for pair in s}, data.support()
+        counts = {pair: have[pair] for pair in sorted(mentioned)}
         return False, CriticalIndex(False, self.k, len(data), frozenset(sets), counts)
 
     def unlearn(self, deleted: Sequence[Entry], aux: CriticalIndex, tickets: Mapping) -> bool:

@@ -171,6 +171,19 @@ def test_chain_bound_ok_at_a_power_of_two_boundary():
         assert make_record("chain", "c", 4, measured, bound=bound)["bound_ok"] is ok
 
 
+def test_merkle_budget_over_a_capped_star_number_has_no_bits(tmp_path, thr4_file, capsys):
+    from unlearn_lab.report import scheme_bound
+
+    bound = scheme_bound("merkle", thresholds_1d(4), 2, dim_cap=0)
+    assert (bound["bits"], bound["dims"]) == (None, {"star": "cap-exceeded"})
+    data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}, {"x": 2, "y": 1}]})
+    code, out, _ = _run(capsys, ["scheme", "run", "--scheme", "merkle", "--class", thr4_file,
+                                 "--dataset", data, "--dim-cap", "0"])
+    doc = json.loads(out)
+    assert code == 0 and doc["bound"]["bits"] is None and doc["bound_ok"] is None
+    assert doc["bound"]["dims"] == {"star": "cap-exceeded"}
+
+
 def test_scheme_run_erm_merkle(tmp_path, thr4_file, capsys):
     data = _write(tmp_path / "d.json", {"items": [{"x": 1, "y": 1}, {"x": 2, "y": 1}]})
     queries = _write(tmp_path / "q.json", {"indices": [1]})
@@ -302,7 +315,8 @@ def test_load_queries_names_the_unknown_ids_of_a_later_query(tmp_path):
     path = _write(tmp_path / "q.json", doc)
     with pytest.raises(FileFormatError, match=r"query 3 references unknown items \[2, 9\]"):
         load_queries(path, data)
-    assert load_queries(path) == [frozenset({1, 3}), frozenset({1}), frozenset({2, 3, 9})]
+    every = Dataset.from_pairs([(0, 1)] * 9)  # ids 1 to 9
+    assert load_queries(path, every) == [frozenset({1, 3}), frozenset({1}), frozenset({2, 3, 9})]
 
 
 # The full `scheme run` output of the tree schemes on thresholds(m=4),
@@ -877,7 +891,20 @@ def test_a_value_of_the_wrong_shape_is_a_format_error(tmp_path, thr4_file, capsy
     ("query", {"queries": [{"indices": [1, 1]}]}, "query 1 repeats index 1"),
     ("encoding", {"pairs": []}, "encoding file needs a 'kind'"),
     ("encoding", {"kind": "other"}, "unknown encoding kind 'other'"),
-    ("encoding", {"kind": "realizable", "pairs": [[0, 1, 1]]}, "encoding pairs must be [x, y] lists")])
+    ("encoding", {"kind": "realizable", "pairs": [[0, 1, 1]]}, "encoding pairs must be [x, y] lists"),
+    ("class", {"generator": {"kind": "halfspace", "d": 4}, "domain": {"kind": "simplex-faces", "k": 2}},
+     "simplex-faces domain is missing parameter 'd'"),
+    ("class", {"generator": {"kind": "halfspace", "d": 4}, "domain": {"kind": "simplex-faces", "d": 4}},
+     "simplex-faces domain is missing parameter 'k'"),
+    ("class", {"generator": {"kind": "thresholds", "m": 0}}, "m must be at least 1"),
+    ("class", {"generator": {"kind": "parity", "d": 9}}, "parity classes are generated for 1 <= d <= 4"),
+    ("class", {"generator": {"kind": "random", "m": 0}}, "domain size must be at least 1"),
+    ("class", {"generator": {"kind": "random", "h": 0}}, "a hypothesis class needs at least one hypothesis"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": []}, "need at least one domain point"),
+    ("class", {"generator": {"kind": "halfspace", "d": 4}, "domain": {"kind": "simplex-faces", "d": 4, "k": 4}},
+     "need 1 <= k <= d-1"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": [["1/0"]]}, "bad rational '1/0'"),
+    ("class", {"generator": {"kind": "halfspace", "d": 1}, "domain": [[float("inf")]]}, "bad rational inf")])
 def test_each_malformed_file_names_itself_in_one_error_line(tmp_path, thr4_file, capsys, kind, doc, message):
     code, out, err, bad = _read_file(tmp_path, thr4_file, capsys, kind, doc)
     assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")

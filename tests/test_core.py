@@ -78,6 +78,14 @@ def test_remove_one_of_two_copies():
     assert survivor.support()[(3, 1)] == 1
 
 
+def test_a_changed_support_counter_changes_no_answer():
+    d = Dataset.from_pairs([(0, 0), (3, 1)])
+    d.support()[(3, 0)] += 1  # the caller's own Counter, not the dataset's
+    assert d.support() == {(0, 0): 1, (3, 1): 1}
+    assert d.distinct_pairs() == frozenset({(0, 0), (3, 1)})
+    assert is_realizable(thresholds_1d(4), d)
+
+
 def _same_as_plain_list(data, entries):
     """`data` answers as a dataset rebuilt from the plain list `entries`, in entry order.
 

@@ -462,12 +462,6 @@ def test_random_m12_h64_witnesses_verify():
     assert rep.vc <= rep.star <= rep.eluder <= len(fc.hypotheses) - 1
 
 
-def test_compute_dims_fills_the_identification_cache():
-    fc = thresholds_1d(4)
-    rep = compute_dims(fc)
-    assert fc._derived["mis"] == rep.witnesses["mis"]
-
-
 def test_searches_leave_no_reference_cycles():
     # A search that leaves a cycle keeps its memo and class alive until a
     # full collection runs.

@@ -76,12 +76,30 @@ def test_agreement_with_convex_combination_oracle():
         assert strictly_separable(P, N)[0] == separable_bruteforce(P, N)
 
 
-def test_row_cap_guard():
+def test_row_cap_guard(monkeypatch):
+    from unlearn_lab import geometry
+
+    monkeypatch.setattr(geometry, "DEFAULT_ROW_CAP", 4)
     rng = random.Random(63)
     P = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)) for _ in range(9)]
     N = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)) for _ in range(9)]
     with pytest.raises(SeparabilityCapExceeded):
-        strictly_separable(P, N, row_cap=4)
+        strictly_separable(P, N)
+
+
+def test_oracle_past_the_row_cap_raises_and_keeps_nothing(monkeypatch):
+    from unlearn_lab import geometry
+
+    oracle = HalfspaceOracle(simplex_face_domain(4, 2))
+    assert oracle.is_realizable_pairs(frozenset({(0, 1), (4, 0)}))  # one solve, under the cap
+    state = (dict(oracle._memo), list(oracle._agree), list(oracle._cores))
+    monkeypatch.setattr(geometry, "DEFAULT_ROW_CAP", 4)
+    # the paper's family: basis vectors positive, five of the six centroids negative
+    support = frozenset([(x, 1) for x in range(4)] + [(x, 0) for x in range(4, 9)])
+    for _ in range(2):  # nothing was kept, so the repeat runs FM again and raises again
+        with pytest.raises(SeparabilityCapExceeded):
+            oracle.is_realizable_pairs(support)
+        assert (dict(oracle._memo), list(oracle._agree), list(oracle._cores)) == state
 
 
 def test_simplex_face_domain_d3_k1():
