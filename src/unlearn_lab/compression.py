@@ -101,20 +101,24 @@ def _scan(lat: _Lattice, pairs: Iterable[Pair]) -> tuple[list[Pair], int]:
     return kept, state
 
 
-def _prune(lat: _Lattice, pairs: Sequence[Pair]) -> list[Pair]:
+def _prune(lat: _Lattice, pairs: Sequence[Pair], flip: bool = True) -> list[Pair]:
     """`star_prune` on a lattice, for distinct valid pairs.
 
     Pair i is kept exactly when ok(before ∧ rest_i ∧ flip_i) holds:
     `before` is the meet of the pairs kept so far, `rest_i` that of every
     pair after i and `flip_i` the state of pair i's flip. So each pair
     costs three meets and one question, and no pair is asked about again.
+    Without the flip, pair i is kept exactly when ok(before ∧ rest_i)
+    holds, that is when removing it from the pairs still kept leaves a
+    realizable set: on an unrealizable support in canonical order, that
+    is the greedy core (`schemes_central.minimal_unrealizable_core`).
     """
     meet, ok, states = lat.meet, lat.ok, lat.pairs
     own = [states[x][y] for x, y in pairs]
     rests = list(accumulate(own[:0:-1], meet, initial=lat.top))[::-1]
     kept, before = [], lat.top
     for (x, y), state, rest in zip(pairs, own, rests):
-        if ok(meet(meet(before, rest), states[x][1 - y])):
+        if ok(meet(meet(before, rest), states[x][1 - y] if flip else lat.top)):
             kept.append((x, y))
             before = meet(before, state)
     return kept
@@ -126,9 +130,10 @@ def star_prune(handle: ClassHandle, kept: Sequence[Pair]) -> list[Pair]:
     Removal leaves the version space unchanged exactly when replacing the
     pair by its flip is unrealizable alongside the rest. When the result
     is realizable it is a star set, so its size is at most the star number.
+    Pairs are normalised to ints as `eluder_subsequence` reads them.
     """
     # duplicates never change the version space, drop them up front
-    pairs = list(dict.fromkeys(kept))
+    pairs = list(dict.fromkeys(_pairs_in_order(kept)))
     for pair in pairs:
         _check_pair(pair, handle.domain_size)
     return _prune(_lattice(handle), pairs)

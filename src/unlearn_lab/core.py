@@ -47,6 +47,11 @@ def _check_pair(pair: Pair, m: int) -> None:
         raise ValueError(f"label must be 0 or 1, got {y!r}")
 
 
+def _mask_pairs(mask: int) -> list[Pair]:
+    """The pairs of a pair bitmask (bit 2*x + y for the pair (x, y)), lowest bit first."""
+    return [(b >> 1, b & 1) for b in range(mask.bit_length()) if mask >> b & 1]
+
+
 class FiniteClass:
     """An explicit hypothesis class: deduplicated {0,1}-rows over m points.
 

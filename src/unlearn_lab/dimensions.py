@@ -10,8 +10,11 @@ share one split recursion and its memo. Only the identification set needs
 an explicit hypothesis list. Lattice states are ints on every handle:
 version-space masks on a finite class, pair bitmasks (bit 2x+y for the
 pair (x, y)) on an oracle, met with a builtin `&` or `|`. An oracle is
-asked once per distinct support, with a frozenset of pairs built only
-then.
+asked once per distinct support: a `HalfspaceOracle` by mask, through
+the memo it keeps on that key, any other oracle through
+`is_realizable_pairs` on a frozenset of pairs built only then. The
+critical-set search of `schemes_central` and the compression scan and
+prune ask on the same lattices.
 
 Every search but Littlestone's takes a cap of at least 0 and returns the
 CAP_EXCEEDED sentinel when a witness larger than the cap exists: of size
@@ -60,7 +63,8 @@ from itertools import product
 from operator import and_, or_
 from typing import Iterable
 
-from .core import ClassHandle, FiniteClass, Pair, _check_pair, is_realizable
+from .core import ClassHandle, FiniteClass, Pair, _check_pair, _mask_pairs, is_realizable
+from .geometry import HalfspaceOracle
 
 CAP_EXCEEDED = "cap-exceeded"
 
@@ -81,8 +85,10 @@ class _Lattice:
     support with the same version space is one state. For an oracle a
     state is the support's pair bitmask, with bit 2x+y for the pair
     (x, y): `top` is 0, the meet is `|`, and `ok` memoizes the oracle's
-    answers on the mask, so searches that share a lattice share its
-    queries. Only a support the memo has not seen is built as a frozenset
+    answers on the mask (`_memoized`), so searches that share a lattice
+    share its queries. On a `HalfspaceOracle` the memo is the oracle's
+    own, keyed on the same mask, and no pairs are built; on any other
+    oracle only a support the memo has not seen is built as a frozenset
     of pairs and asked. `ceilings(s)` bounds the eluder and Littlestone
     depths below a realizable state, and third the Littlestone depth once
     one split of the state has read less than the second bound. Searches
@@ -115,7 +121,8 @@ def _lattice(handle: ClassHandle) -> _Lattice:
 
     A FiniteClass's lattice holds no memo, so one is built per class and
     kept in its `_derived` table; an oracle's holds the memo of the
-    search, so each call builds a fresh one.
+    search, so each call builds a fresh one (on a `HalfspaceOracle` that
+    memo is the oracle's own, which outlives the call).
     """
     if not isinstance(handle, FiniteClass):
         return _Lattice(handle)
@@ -146,24 +153,29 @@ def _free_ceilings(m: int):
 
 def _memoized(handle: ClassHandle, m: int):
     """The oracle's answers on pair bitmasks over m points, memoized; a
-    support holding both labels of a point is unrealizable without a call."""
-    memo: dict[int, bool] = {}
+    support holding both labels of a point is unrealizable without a call.
+
+    A `HalfspaceOracle` keeps the memo: its `_memo` is keyed on the pair
+    bitmask, and a miss goes to its `_decide`, as in its own entry. Any
+    other oracle, a subclass or proxy of one included, is asked
+    `is_realizable_pairs` on a frozenset of pairs, built once per
+    support, and its answers are memoized here.
+    """
     even = int("0" + "01" * m, 2)  # bit 2x: label 0 of point x
-    bit_pairs = [(b >> 1, b & 1) for b in range(2 * m)]
+    if type(handle) is HalfspaceOracle:
+        memo, decide = handle._memo, handle._decide
+    else:
+        memo = {}
+
+        def decide(state: int) -> bool:
+            return handle.is_realizable_pairs(frozenset(_mask_pairs(state)))
 
     def ok(state: int) -> bool:
         cached = memo.get(state)
         if cached is None:
-            if state & (state >> 1) & even:
-                cached = False
-            else:
-                pairs, rest = [], state
-                while rest:  # one step per set bit, lowest first
-                    low = rest & -rest
-                    pairs.append(bit_pairs[low.bit_length() - 1])
-                    rest ^= low
-                cached = handle.is_realizable_pairs(frozenset(pairs))
-            memo[state] = cached
+            if state & state >> 1 & even:
+                return False
+            cached = memo[state] = decide(state)
         return cached
 
     return ok

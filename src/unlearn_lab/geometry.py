@@ -19,10 +19,11 @@ realizable without a solve. When FM finds a support unrealizable, it
 names the input rows its contradiction combines (Farkas' lemma), and the
 oracle keeps their pairs as an unrealizable core: a support that holds a
 recorded core is unrealizable without a solve. Such answers run no FM
-and so never reach the row cap. Answers are memoized per support; a
-frozenset is looked up in the memo as given, so a support asked again
-costs one dict lookup, and a missed support is read once, in one loop
-that normalises, validates and indexes each pair.
+and so never reach the row cap. Answers are memoized on the support's
+pair bitmask (bit 2x+y for the pair (x, y)), the one key the cores and
+the support lattice of `dimensions` share: `is_realizable_pairs`
+normalises, validates and folds the pairs into it in one loop, and the
+lattice asks by mask, so its questions build no pairs.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 
-from .core import Dataset, OracleError, Pair, _check_pair
+from .core import Dataset, OracleError, Pair, _check_pair, _mask_pairs
 
 Point = tuple[Fraction, ...]
 
@@ -307,9 +309,11 @@ def halfspace_family_dataset(d: int, k: int, subsets: Iterable[Sequence[int]]) -
 class HalfspaceOracle:
     """Realizability oracle: strict separability over a fixed point list.
 
-    Answers are memoized per support, keyed on validated frozensets of
-    int pairs; a frozenset is looked up as given before it is normalised
-    (see `is_realizable_pairs`). Every separator Fourier-Motzkin
+    Answers are memoized in `_memo`, keyed on the support's pair bitmask
+    (bit 2*x + y for the pair (x, y)), with no lookup by frozenset; a
+    miss goes to `_decide(mask)`. `is_realizable_pairs` is the validating
+    entry of the query model, and `dimensions._memoized` asks by mask,
+    reading `_memo` and calling `_decide` itself. Every separator Fourier-Motzkin
     returns is checked in integers and then recorded as full labelings of
     the domain (see `_record`). Labeling i sets bit i of `_agree[2*x + y]`
     for every point x it labels y, so a support is realizable if the AND
@@ -334,7 +338,7 @@ class HalfspaceOracle:
             raise ValueError("all points must share one dimension")
         self.points: tuple[Point, ...] = tuple(pts)
         self.domain_size = len(pts)
-        self._memo: dict[frozenset[Pair], bool] = {}
+        self._memo: dict[int, bool] = {}  # by pair bitmask
         self._rows: list[tuple | None] = [None] * len(pts)
         # bit i of _agree[2*x + y]: labeling i gives point x label y
         self._agree = [0] * (2 * len(pts))
@@ -383,54 +387,44 @@ class HalfspaceOracle:
     def is_realizable_pairs(self, pairs: Iterable[Pair]) -> bool:
         """Whether some halfspace puts every (point, label) pair on its side.
 
-        A frozenset is looked up in the memo as given: every memo key is
-        a validated set of int pairs, and a frozenset equal to one (say,
-        holding `True` or `Fraction(2)` for 1 or 2) has its answer. A
-        miss is read in one loop that normalises each pair to ints,
-        validates it and folds it into the `_agree` AND and the pair
-        bitmask. It is memoized as given if all its pairs were exact int
-        pairs, else as the frozenset of the normalised pairs. Every miss
-        is validated, so an out-of-domain support raises ValueError however
-        often it is asked. A repeat of a support that was normalised runs
-        no Fourier-Motzkin: if it is realizable, a recorded labeling agrees
-        with it; if not, `_decide` answers it from the core it kept or from
-        a point under both labels.
+        The pairs are read in one loop that normalises each to ints,
+        validates it and folds it into the support's pair bitmask, the
+        memo's key; a miss goes to `_decide`. Nothing is looked up before
+        the pairs are validated, so an out-of-domain support raises
+        ValueError however often it is asked, and supports with equal
+        normal forms (say, holding `True` or `Fraction(2)` for 1 or 2)
+        share one memo entry.
         """
-        memo = self._memo
-        as_given = type(pairs) is frozenset
-        if as_given:
-            hit = memo.get(pairs)
-            if hit is not None:
-                return hit
-        agree, m, common, mask, norm = self._agree, self.domain_size, -1, 0, []
-        for pair in pairs:
-            x, y = pair
-            if type(x) is not int or type(y) is not int or type(pair) is not tuple:
-                x, y, as_given = int(x), int(y), False
-                pair = x, y
-            _check_pair(pair, m)
-            common &= agree[2 * x + y]
+        m, mask = self.domain_size, 0
+        for x, y in pairs:
+            x, y = int(x), int(y)
+            _check_pair((x, y), m)
             mask |= 1 << (2 * x + y)
-            norm.append(pair)
-        fs = pairs if as_given else frozenset(norm)
-        # a recorded labeling agrees with every pair, or else decide
-        result = memo[fs] = bool(common) or self._decide(fs, mask)
-        return result
+        if mask not in self._memo:
+            self._memo[mask] = self._decide(mask)
+        return self._memo[mask]
 
-    def _decide(self, fs: frozenset[Pair], mask: int) -> bool:
-        """Answer a support no recorded labeling agrees with; `mask` is its pair bitmask."""
+    def _decide(self, mask: int) -> bool:
+        """Answer a support the memo has not seen, from its pair bitmask `mask`."""
+        agree, pairs = self._agree, _mask_pairs(mask)
+        if reduce(and_, [agree[2 * x + y] for x, y in pairs], -1):
+            return True  # a recorded labeling agrees with every pair
         for core in self._cores:
             if core | mask == mask:
                 return False  # holds an unrealizable core
         # points with equal coordinates have equal rows
-        positives = {self._point_rows(x)[1] for x, y in fs if y}
-        if any(self._point_rows(x)[1] in positives for x, y in fs if not y):
+        positives = {self._point_rows(x)[1] for x, y in pairs if y}
+        if any(self._point_rows(x)[1] in positives for x, y in pairs if not y):
             return False  # one point under both labels
-        rows = [self._point_rows(x)[y] for x, y in fs]
+        # FM names the first contradiction it meets, so the row order picks the core kept;
+        # the rows go in the support's frozenset order, the order every lattice question
+        # has reached FM in, so the cores kept are those FM has always named
+        ordered = frozenset(pairs)
+        rows = [self._point_rows(x)[y] for x, y in ordered]
         found = _solve(rows, self.dim + 1, DEFAULT_ROW_CAP)
-        if type(found) is int:  # the Farkas rows, in the order fs gave them
+        if type(found) is int:  # the Farkas rows, in the order of `ordered`
             core = 0
-            for i, (x, y) in enumerate(fs):
+            for i, (x, y) in enumerate(ordered):
                 if found >> i & 1:
                     core |= 1 << (2 * x + y)
             self._cores.append(core)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import reduce
 
 from .core import (
     ClassHandle,
@@ -24,7 +24,7 @@ from .core import (
     Entry,
     FiniteClass,
     Pair,
-    _realizable_support,
+    _check_pair,
     count_bits,
     dataset_bits,
     distinct_ids,
@@ -33,6 +33,8 @@ from .core import (
     pair_bits,
     support_pairs,
 )
+from .compression import _prune
+from .dimensions import _lattice, _Lattice
 
 
 class QueryTooLargeError(ValueError):
@@ -86,23 +88,29 @@ def minimal_unrealizable_core(
     Iterates distinct pairs in canonical order, removing each pair whose
     removal keeps the set unrealizable. The result is unrealizable, every
     single-pair removal of it is realizable, and its size is at most the
-    hollow star number.
+    hollow star number. It is `compression._prune` without the flip, on
+    the support lattice of the call (`_support_on_lattice`).
     """
-    support = support_pairs(data)
-    if _realizable_support(handle, support):
+    support, lat, realizable = _support_on_lattice(handle, data)
+    if realizable:
         raise PreconditionError("core extraction needs an unrealizable support")
-    return _greedy_core(partial(_realizable_support, handle), support)
+    return tuple(_prune(lat, sorted(support), flip=False))
 
 
-def _greedy_core(ok, support: frozenset[Pair]) -> tuple[Pair, ...]:
-    # The support is normalised and unrealizable; each question is a set difference of it,
-    # asked through `ok`, which answers like _realizable_support.
-    core = support
-    for pair in sorted(support):
-        rest = core - {pair}
-        if not ok(rest):
-            core = rest
-    return tuple(sorted(core))
+def _support_on_lattice(
+    handle: ClassHandle, data: Dataset | Iterable[Pair]
+) -> tuple[frozenset[Pair], _Lattice, bool]:
+    """The normalised support of `data`, one support lattice on `handle`
+    for every question of the call (`dimensions._lattice`), and whether
+    the support is realizable. Each pair is validated here, once."""
+    support, lat = support_pairs(data), _lattice(handle)
+    for pair in support:
+        _check_pair(pair, lat.m)
+    return support, lat, lat.ok(_state(lat, support))
+
+
+def _state(lat: _Lattice, pairs: Iterable[Pair]) -> int:
+    return reduce(lat.meet, [lat.pairs[x][y] for x, y in pairs], lat.top)
 
 
 def enumerate_critical_sets(
@@ -114,34 +122,33 @@ def enumerate_critical_sets(
     the current survivor: any completion of a prefix to a critical set
     must delete some core pair, so the search is exhaustive while visiting
     at most hollow_star**k prefixes per level. The support is normalised
-    once, every support asked about is a difference of it, and each is
-    asked once.
+    and validated once, every support asked about is a difference of it,
+    and each is asked once, on the support lattice of the call (`_support_on_lattice`).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    support, ok = support_pairs(data), cache(partial(_realizable_support, handle))
-    if ok(support):
+    support, lat, realizable = _support_on_lattice(handle, data)
+    if realizable:
         raise PreconditionError("critical sets are defined for unrealizable data")
-    return _critical_sets(ok, support, k)
+    return _critical_sets(lat, support, k)
 
 
-def _critical_sets(ok, support: frozenset[Pair], k: int) -> set[frozenset[Pair]]:
-    # The support is normalised and unrealizable, and so is the survivor of every frontier
-    # prefix. `ok` answers like _realizable_support, asking each support once, and the
-    # caller has already asked it about the support itself.
+def _critical_sets(lat: _Lattice, support: frozenset[Pair], k: int) -> set[frozenset[Pair]]:
+    # The support is validated and unrealizable, and so is the survivor of every frontier
+    # prefix; the caller has already asked the lattice about the support itself.
     found: set[frozenset[Pair]] = set()
     frontier: set[frozenset[Pair]] = {frozenset()}
     for _ in range(k):
         nxt: set[frozenset[Pair]] = set()
         for prefix in frontier:  # each prefix once, so its greedy core once
-            for pair in _greedy_core(ok, support - prefix):
+            for pair in _prune(lat, sorted(support - prefix), flip=False):
                 cand = prefix | {pair}
                 if cand in found or cand in nxt:
                     continue
-                if not ok(support - cand):
+                if not lat.ok(_state(lat, support - cand)):
                     nxt.add(cand)
                 # minimal if no one-pair-smaller removal works; then no smaller one does
-                elif not any(ok(support - (cand - {p})) for p in cand):
+                elif not any(lat.ok(_state(lat, support - (cand - {p}))) for p in cand):
                     found.add(cand)
         frontier = nxt
     return found
@@ -179,10 +186,10 @@ class BoundedDeletionScheme:
         self.k = k
 
     def learn(self, data: Dataset) -> tuple[bool, CriticalIndex]:
-        support, ok = data.distinct_pairs(), cache(partial(_realizable_support, self.handle))
-        if ok(support):
+        support, lat, realizable = _support_on_lattice(self.handle, data)
+        if realizable:
             return True, CriticalIndex(True, self.k, len(data))
-        sets = _critical_sets(ok, support, self.k)
+        sets = _critical_sets(lat, support, self.k)
         mentioned, have = {pair for s in sets for pair in s}, data.support()
         counts = {pair: have[pair] for pair in sorted(mentioned)}
         return False, CriticalIndex(False, self.k, len(data), frozenset(sets), counts)

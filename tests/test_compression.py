@@ -2,6 +2,7 @@
 merge algebra, and the adapter from central schemes to compressions."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -97,6 +98,18 @@ def test_canonical_dataset_rejects_non_version_space(thr4):
     # threshold version spaces are index intervals; {0, 3} is not one
     with pytest.raises(NotAVersionSpaceError):
         canonical_dataset(thr4, {0, 3})
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_star_prune_normalises_pairs_as_the_scan_does(thr4, oracle):
+    handle = as_oracle(thr4) if oracle else thr4
+    for pairs in ([(Fraction(1), 0), (2, 1)], [(1.0, 1)], [[1, 0]], [(True, 0)]):
+        ints = [(int(x), int(y)) for x, y in pairs]
+        got = star_prune(handle, pairs)
+        assert got == star_prune(handle, ints) == [p for p in ints if p in got]
+        assert all(type(v) is int for pair in got for v in pair)
+    with pytest.raises(ValueError, match="outside domain"):
+        star_prune(handle, [(Fraction(4), 0)])
 
 
 def test_canonical_pruning_on_masks_matches_star_prune():

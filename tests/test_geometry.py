@@ -79,10 +79,12 @@ def test_agreement_with_convex_combination_oracle():
 def test_row_cap_guard(monkeypatch):
     from unlearn_lab import geometry
 
+    # the basis vectors against five of the six face centroids: FM decides it
+    # under the default cap and needs more than 4 rows to do so
+    pts = simplex_face_domain(4, 2)
+    P, N = pts[:4], pts[4:9]
+    assert strictly_separable(P, N) == (False, None)
     monkeypatch.setattr(geometry, "DEFAULT_ROW_CAP", 4)
-    rng = random.Random(63)
-    P = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)) for _ in range(9)]
-    N = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)) for _ in range(9)]
     with pytest.raises(SeparabilityCapExceeded):
         strictly_separable(P, N)
 
@@ -317,7 +319,7 @@ def test_memo_lookup_of_unnormalised_frozensets(monkeypatch):
     assert not oracle.is_realizable_pairs(frozenset({(0, 1), (1, 0), (2, 1)}))
     assert oracle.is_realizable_pairs(frozenset({(0, 0), (2, 1)}))
     solves = state["solves"]
-    # equal to a memo key, so answered from the memo as its normal form
+    # the pair bitmask of a memo key, so answered from the memo
     assert not oracle.is_realizable_pairs(frozenset({(0, True), (True, 0), (Fraction(2), 1)}))
     assert oracle.is_realizable_pairs(frozenset({(False, 0), (Fraction(2), True)}))
     assert state["solves"] == solves
@@ -330,27 +332,25 @@ def test_memo_lookup_of_unnormalised_frozensets(monkeypatch):
             oracle.is_realizable_pairs(frozenset({(0, 0), (3, 1)}))
         with pytest.raises(ValueError, match="label must be 0 or 1"):
             oracle.is_realizable_pairs(frozenset({(0, 2)}))
-    assert all(type(x) is int and type(y) is int for fs in oracle._memo for x, y in fs)
+    assert all(type(key) is int for key in oracle._memo)
     assert len(oracle._memo) == 4
 
 
-def test_missed_frozensets_of_int_pairs_are_memoized_as_given():
+def test_missed_supports_are_memoized_once_under_their_bitmask():
+    # bit 2*x + y for the pair (x, y); exact, mixed, bool and tuple-subclass
+    # supports are each one entry, whatever types their pairs have
     oracle = HalfspaceOracle([(0,), (1,), (2,)])
-    exact = frozenset({(0, 0), (2, 1)})
-    mixed = frozenset({(1, True), (Fraction(2), 0)})
-    assert oracle.is_realizable_pairs(exact)
-    assert oracle.is_realizable_pairs(mixed)
-    # the exact support is the key itself; the other is rebuilt into int pairs
-    assert any(key is exact for key in oracle._memo)
-    assert not any(key is mixed for key in oracle._memo)
-    assert frozenset({(1, 1), (2, 0)}) in oracle._memo
-    # a subclass of int (bool) or a subclass of tuple is not an exact int pair
-    for odd in (frozenset({(False, 0)}), frozenset({_Pair(0, 1)})):
-        oracle.is_realizable_pairs(odd)
-        assert not any(key is odd for key in oracle._memo)
-    assert all(
-        type(p) is tuple and type(p[0]) is int and type(p[1]) is int for fs in oracle._memo for p in fs
-    )
+    supports = [
+        (frozenset({(0, 0), (2, 1)}), 33),
+        (frozenset({(1, True), (Fraction(2), 0)}), 24),
+        (frozenset({(False, 0)}), 1),
+        (frozenset({_Pair(0, 1)}), 2),
+    ]
+    for n, (support, mask) in enumerate(supports, 1):
+        answer = oracle.is_realizable_pairs(support)
+        assert oracle._memo == {key: oracle._memo[key] for _, key in supports[:n]}
+        assert oracle._memo[mask] is answer is True
+        assert oracle.is_realizable_pairs(support) is answer and len(oracle._memo) == n
 
 
 class _Pair(tuple):
@@ -638,3 +638,42 @@ def test_bad_geometry_inputs_raise_value_error(call, message):
 
 def test_no_points_are_separated_by_the_zero_halfspace():
     assert strictly_separable([], []) == (True, ((), Fraction(0)))
+
+
+class _PassThrough:
+    """An oracle proxy, so the lattice asks it `is_realizable_pairs` on frozensets."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.domain_size = inner.domain_size
+
+    def is_realizable_pairs(self, pairs):
+        return self.inner.is_realizable_pairs(pairs)
+
+
+def test_mask_path_and_protocol_path_agree(monkeypatch):
+    # A HalfspaceOracle is asked on pair bitmasks by the lattice; a proxy of
+    # one is asked through is_realizable_pairs. Both must answer alike and
+    # leave the oracle in the same state, with the same Fourier-Motzkin solves.
+    from unlearn_lab import BoundedDeletionScheme, Dataset, MerkleScheme, compute_dims
+
+    state = _count_fm_solves(monkeypatch)
+    rng = random.Random(81)
+    domains = [_random_domain(rng, d, rng.randint(5, 7)) for d in (2, 3, 4) for _ in range(3)]
+    domains.append(simplex_face_domain(4, 2))
+    for pts in domains:
+        data = Dataset.from_pairs((rng.randrange(len(pts)), rng.randint(0, 1)) for _ in range(7))
+        runs = []
+        for wrap in (False, True):
+            oracle = HalfspaceOracle(pts)
+            handle = _PassThrough(oracle) if wrap else oracle
+            before = state["solves"]
+            report = compute_dims(handle, cap=3)
+            bounded = BoundedDeletionScheme(handle, 2).learn(data)
+            merkle = MerkleScheme(handle).learn(data)[:2]
+            runs.append((
+                report, bounded, merkle, dict(oracle._memo), oracle._agree, oracle._cores,
+                oracle._n_labelings, state["solves"] - before,
+            ))
+        assert runs[0] == runs[1], pts
+        assert runs[0][-1] > 0
