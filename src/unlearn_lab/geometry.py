@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from functools import reduce
 from operator import and_, mul
 
 from .core import Dataset, OracleError, Pair, _check_pair, _mask_pairs
@@ -311,22 +311,22 @@ class HalfspaceOracle:
 
     Answers are memoized in `_memo`, keyed on the support's pair bitmask
     (bit 2*x + y for the pair (x, y)), with no lookup by frozenset; a
-    miss goes to `_decide(mask)`. `is_realizable_pairs` is the validating
-    entry of the query model, and `dimensions._memoized` asks by mask,
-    reading `_memo` and calling `_decide` itself. Every separator Fourier-Motzkin
-    returns is checked in integers and then recorded as full labelings of
-    the domain (see `_record`). Labeling i sets bit i of `_agree[2*x + y]`
-    for every point x it labels y, so a support is realizable if the AND
-    of `_agree` over its pairs is non-zero: some recorded labeling, and so
-    some halfspace, agrees with every pair. An infeasible solve returns
-    the mask of the rows whose positive combination is contradictory, an
-    unrealizable subset of the support; its pairs are kept as one pair
-    bitmask (bit 2*x + y) in `_cores`. A support whose bitmask holds some
-    core is unrealizable (a superset of an unrealizable set is), and so
-    is one that puts a point under both labels. Only when no rule answers
-    does Fourier-Motzkin run, under `DEFAULT_ROW_CAP`, so an indexed answer
-    never reaches the cap. Each point is converted to integers on its
-    first query.
+    miss goes to `_decide(mask)`. `is_realizable_pairs` is the
+    validating entry of the query model, and `dimensions._memoized` asks
+    by mask, reading `_memo` and calling `_decide` itself. Every
+    separator Fourier-Motzkin returns is checked in integers and then
+    recorded as full labelings of the domain (see `_record`). Labeling i
+    sets bit i of `_agree[2*x + y]` for every point x it labels y, so a
+    support is realizable if the AND of `_agree` over its pairs is
+    non-zero: some recorded labeling, and so some halfspace, agrees with
+    every pair. An infeasible solve returns the mask of the rows whose
+    positive combination is contradictory, an unrealizable subset of the
+    support; its pairs are kept as one pair bitmask (bit 2*x + y) in
+    `_cores`. A support whose bitmask holds some core is unrealizable (a
+    superset of an unrealizable set is), and so is one that puts a point
+    under both labels. Only when no rule answers does Fourier-Motzkin
+    run, under `DEFAULT_ROW_CAP`, so an indexed answer never reaches the
+    cap. Each point is converted to integers on its first query.
     """
 
     def __init__(self, points: Sequence[Iterable]):
@@ -417,8 +417,8 @@ class HalfspaceOracle:
         if any(self._point_rows(x)[1] in positives for x, y in pairs if not y):
             return False  # one point under both labels
         # FM names the first contradiction it meets, so the row order picks the core kept;
-        # the rows go in the support's frozenset order, the order every lattice question
-        # has reached FM in, so the cores kept are those FM has always named
+        # the rows go in the order of the support's frozenset, the one a proxy asking on the
+        # lattice's frozensets gives too, so both paths keep the same cores
         ordered = frozenset(pairs)
         rows = [self._point_rows(x)[y] for x, y in ordered]
         found = _solve(rows, self.dim + 1, DEFAULT_ROW_CAP)

@@ -123,7 +123,8 @@ def enumerate_critical_sets(
     must delete some core pair, so the search is exhaustive while visiting
     at most hollow_star**k prefixes per level. The support is normalised
     and validated once, every support asked about is a difference of it,
-    and each is asked once, on the support lattice of the call (`_support_on_lattice`).
+    and each is asked once, on the support lattice of the call
+    (`_support_on_lattice`).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
