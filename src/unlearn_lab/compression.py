@@ -13,8 +13,9 @@ lattice that `dimensions._lattice` builds (version-space masks met with
 `&` on a FiniteClass, the class's one lattice; memoized pair bitmasks met
 with `|` on an oracle, a fresh lattice per call), so an oracle encoding
 asks each support once, its kept set's realizability included, and the
-canonical finite encoding is the same prune on masks. Each operation
-validates its own pairs.
+canonical finite encoding is the same prune on masks. Every entry reads
+its pairs by `core`'s pair rule (`core._read_pairs`), so a bad pair raises
+before anything is asked, also one after an early stop.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .core import (
     Dataset,
     FiniteClass,
     Pair,
-    _check_pair,
+    _read_pairs,
     encoding_bits,
     is_realizable,
-    support_pairs,
 )
 from .dimensions import _lattice, _Lattice, min_identification_set
 
@@ -61,12 +61,6 @@ def unrealizable_marker() -> VsEncoding:
     return VsEncoding(False, ((0, 0), (0, 1)))
 
 
-def _pairs_in_order(data: Dataset | Iterable[Pair]) -> list[Pair]:
-    if isinstance(data, Dataset):
-        return list(data.pairs())
-    return [(int(x), int(y)) for x, y in data]
-
-
 def eluder_subsequence(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> list[Pair]:
     """Scan items in order, keeping a pair only while it is still informative.
 
@@ -77,20 +71,19 @@ def eluder_subsequence(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> l
     version space as the input and at most eluder+1 pairs. The scan runs
     on the support lattice (`_scan`), so a repeated pair asks nothing.
     """
-    return _scan(_lattice(handle), _pairs_in_order(data))[0]
+    return _scan(_lattice(handle), _read_pairs(data, handle.domain_size))[0]
 
 
 def _scan(lat: _Lattice, pairs: Iterable[Pair]) -> tuple[list[Pair], int]:
-    """The informative subsequence of `pairs` (see `eluder_subsequence`) and its state.
+    """The informative subsequence of valid int `pairs` (see `eluder_subsequence`)
+    and its state.
 
-    Each pair is validated when the scan reaches it. The state is
-    unrealizable exactly when the scan stopped early, and its answer is
-    in the lattice's memo.
+    The state is unrealizable exactly when the scan stopped early, and its
+    answer is in the lattice's memo.
     """
-    meet, ok, states, m = lat.meet, lat.ok, lat.pairs, lat.m
+    meet, ok, states = lat.meet, lat.ok, lat.pairs
     kept, state = [], lat.top
     for x, y in pairs:
-        _check_pair((x, y), m)
         with_y = meet(state, states[x][y])
         if not ok(with_y):
             kept.append((x, y))
@@ -130,12 +123,9 @@ def star_prune(handle: ClassHandle, kept: Sequence[Pair]) -> list[Pair]:
     Removal leaves the version space unchanged exactly when replacing the
     pair by its flip is unrealizable alongside the rest. When the result
     is realizable it is a star set, so its size is at most the star number.
-    Pairs are normalised to ints as `eluder_subsequence` reads them.
     """
     # duplicates never change the version space, drop them up front
-    pairs = list(dict.fromkeys(_pairs_in_order(kept)))
-    for pair in pairs:
-        _check_pair(pair, handle.domain_size)
+    pairs = list(dict.fromkeys(_read_pairs(kept, handle.domain_size)))
     return _prune(_lattice(handle), pairs)
 
 
@@ -177,12 +167,12 @@ def canonical_dataset(fc: FiniteClass, vs: Iterable[int]) -> VsEncoding:
 def vs_encode(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> VsEncoding:
     """Compress a dataset to a canonical encoding of its version space."""
     if isinstance(handle, FiniteClass):
-        return _canonical_from_mask(handle, handle.vs_mask(support_pairs(data)))
-    return _lattice_encoding(_lattice(handle), _pairs_in_order(data))
+        return _canonical_from_mask(handle, handle.vs_mask(data))
+    return _lattice_encoding(_lattice(handle), _read_pairs(data, handle.domain_size))
 
 
 def _lattice_encoding(lat: _Lattice, pairs: Iterable[Pair]) -> VsEncoding:
-    """An oracle's encoding of `pairs`: the informative subsequence,
+    """An oracle's encoding of valid int `pairs`: the informative subsequence,
     star-pruned and sorted, or the marker if the scan stopped early."""
     kept, state = _scan(lat, pairs)
     if not lat.ok(state):  # a memo hit, unless nothing was kept
@@ -224,16 +214,17 @@ class NodeStates:
     canonical encoding, and `version_space(states)` the version space of
     the union of the given states' datasets, as far as the handle can
     give it. For a FiniteClass a state is a version-space mask: the meet
-    is `&`, each distinct pair of a `leaves` call goes through `vs_mask`
-    once, on its first occurrence (so pairs are validated as usual),
-    `encode` reads the mask-keyed canonical cache, and `version_space`
-    is the AND of the masks, so neither building a tree nor answering
-    from its states decodes or encodes anything. For an oracle a state is
-    the encoding itself, equal to what `vs_encode` and `merge` give, and
-    `encode` is the identity. Its states are built on one support lattice
-    (`_lattice_encoding`), so every tree built through one `NodeStates`
-    asks the oracle once per distinct support; `empty` is asked when the
-    adapter is made. An oracle has no masks, so its `version_space` is only
+    is `&`, each distinct pair of a `leaves` call (the tuples a `Dataset`
+    holds) goes through `vs_mask`, and so through `core`'s pair rule,
+    once, on its first occurrence, `encode` reads the mask-keyed canonical
+    cache, and `version_space` is the AND of the masks, so neither
+    building a tree nor answering from its states decodes or encodes
+    anything. For an oracle a state is the encoding itself, equal to what
+    `vs_encode` and `merge` give, and `encode` is the identity; `leaves`
+    reads its pairs through `core._read_pairs` before it encodes any. Its
+    states are built on one support lattice (`_lattice_encoding`), so
+    every tree built through one `NodeStates` asks the oracle once per
+    distinct support; `empty` is asked when the adapter is made. An oracle has no masks, so its `version_space` is only
     whether the space is non-empty: one `is_realizable` on the union of
     the encodings' pairs, which has the version space of the union of the
     encoded datasets. Either way the result is truthy exactly when that
@@ -252,7 +243,9 @@ class NodeStates:
         else:
             encoding = partial(_lattice_encoding, _lattice(handle))
             self.empty = encoding(())
-            self.leaves = lambda pairs: [encoding((p,)) for p in pairs]
+            self.leaves = lambda pairs: [
+                encoding((p,)) for p in _read_pairs(pairs, handle.domain_size)
+            ]
             self.meet = lambda a, b: encoding(a.pairs + b.pairs)
             self.encode = lambda enc: enc
             self.version_space = lambda encs: is_realizable(

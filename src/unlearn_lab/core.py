@@ -5,6 +5,19 @@ Domain points are dense integer ids 0..m-1. A labeled pair is a tuple
 its set of distinct labeled pairs; multiplicities matter only when items
 are deleted. All types are immutable values and every operation is a pure
 function, so everything here is safe to share across threads.
+
+Every entry of the library reads its values through two rules kept here.
+The value rule (`_int`): an id, label or hypothesis index is accepted when
+it equals an int, and it is read as that int, so `True`, `1.0` and
+`Fraction(2)` are read as 1, 1 and 2, while `1.5`, `Fraction(1, 2)`,
+`'1'`, `None` and `inf` raise ValueError naming the value. The pair rule
+(`_check_pair`): a pair is any two values (a tuple or a list) read by the
+value rule, whose point lies in 0..m-1 and whose label is 0 or 1; it is
+returned as an int tuple, and anything else raises ValueError. An entry
+over a class reads a `Dataset` or an iterable of pairs through
+`_read_pairs`, which checks every pair before the entry asks any
+question. A `Dataset` has no domain, so it applies the value rule and the
+label check alone.
 """
 
 from __future__ import annotations
@@ -39,12 +52,34 @@ class RealizabilityOracle(Protocol):
     def is_realizable_pairs(self, pairs: Iterable[Pair]) -> bool: ...
 
 
-def _check_pair(pair: Pair, m: int) -> None:
+def _int(value) -> int:
+    """The value rule (module docstring): `value` as the int it equals."""
+    if type(value) is int:
+        return value
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return as_int
+
+
+def _check_pair(pair, m: int) -> Pair:
+    """The pair rule (module docstring): `pair` as an int pair over m points."""
     x, y = pair
+    if type(x) is not int or type(y) is not int:
+        x, y = _int(x), _int(y)
     if not (0 <= x < m):
         raise ValueError(f"point id {x} outside domain of size {m}")
-    if y not in (0, 1):
+    if not (0 <= y <= 1):
         raise ValueError(f"label must be 0 or 1, got {y!r}")
+    return x, y
+
+
+def _read_pairs(data: Dataset | Iterable[Pair], m: int) -> list[Pair]:
+    """The pairs of a `Dataset` or an iterable in order, each through `_check_pair`."""
+    return [_check_pair(pair, m) for pair in (data.pairs() if isinstance(data, Dataset) else data)]
 
 
 def _mask_pairs(mask: int) -> list[Pair]:
@@ -115,16 +150,15 @@ class FiniteClass:
     def pair_mask(self, x: int, y: int) -> int:
         return self._masks[x][y]
 
-    def vs_mask(self, pairs: Iterable[Pair]) -> int:
+    def vs_mask(self, pairs: Dataset | Iterable[Pair]) -> int:
         """Bitmask of hypotheses consistent with every given pair.
 
-        Every pair is validated, also those after the one that empties
-        the version space.
+        Every pair is validated (`_read_pairs`), also those after the one
+        that empties the version space.
         """
-        mask = self._full_mask
-        for x, y in pairs:
-            _check_pair((x, y), self.domain_size)
-            mask &= self._masks[x][y]
+        mask, masks = self._full_mask, self._masks
+        for x, y in _read_pairs(pairs, self.domain_size):
+            mask &= masks[x][y]
         return mask
 
     def mask_to_indices(self, mask: int) -> frozenset[int]:
@@ -132,7 +166,7 @@ class FiniteClass:
 
     def indices_to_mask(self, indices: Iterable[int]) -> int:
         mask = 0
-        for i in indices:
+        for i in map(_int, indices):
             if not (0 <= i < len(self.hypotheses)):
                 raise ValueError(f"hypothesis index {i} out of range")
             mask |= 1 << i
@@ -182,10 +216,9 @@ class Dataset:
     __slots__ = ("_by_id",)
 
     def __init__(self, entries: Iterable[Entry]):
-        # every entry is converted before any is validated, which decides the error raised
-        ent = tuple((int(i), (int(x), int(y))) for i, (x, y) in entries)
         by_id = {}
-        for i, pair in ent:
+        for i, (x, y) in entries:
+            i, pair = _int(i), (_int(x), _int(y))
             if i < 1:
                 raise ValueError("item ids must be positive")
             if i in by_id:
@@ -204,7 +237,7 @@ class Dataset:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Pair]) -> "Dataset":
-        norm = [(int(x), int(y)) for x, y in pairs]
+        norm = [(_int(x), _int(y)) for x, y in pairs]
         if not {y for _, y in norm} <= {0, 1}:
             raise ValueError("labels must be 0 or 1")
         return cls._trusted(dict(zip(range(1, len(norm) + 1), norm)))  # ids 1..n need no check
@@ -279,9 +312,9 @@ def validate_query(data: Dataset, indices: Iterable[int]) -> frozenset[int]:
 
 
 def support_pairs(data: Dataset | Iterable[Pair]) -> frozenset[Pair]:
-    if isinstance(data, Dataset):
-        return data.distinct_pairs()
-    return frozenset((int(x), int(y)) for x, y in data)
+    """The distinct pairs of `data`, read as a `Dataset` reads them: the
+    value rule and the label check, with no domain."""
+    return (data if isinstance(data, Dataset) else Dataset.from_pairs(data)).distinct_pairs()
 
 
 def is_realizable(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> bool:
@@ -292,14 +325,15 @@ def is_realizable(handle: ClassHandle, data: Dataset | Iterable[Pair]) -> bool:
     holds both labels of some point. Oracle failures propagate as
     OracleError.
     """
-    return _realizable_support(handle, support_pairs(data))
+    return _realizable_support(handle, frozenset(_read_pairs(data, handle.domain_size)))
 
 
 def _realizable_support(handle: ClassHandle, pairs: frozenset[Pair]) -> bool:
-    """`is_realizable` on a support that `support_pairs` already normalised.
+    """`is_realizable` on a support of int pairs.
 
     A support with two pairs on one point holds both of its labels, or an
-    invalid one, which the validation below raises.
+    invalid one, which the validation below raises; the handle validates
+    any other support. (`is_realizable` has validated every pair already.)
     """
     if len({x for x, _ in pairs}) != len(pairs):
         for pair in pairs:
@@ -310,7 +344,7 @@ def _realizable_support(handle: ClassHandle, pairs: frozenset[Pair]) -> bool:
 
 def version_space(fc: FiniteClass, data: Dataset | Iterable[Pair]) -> frozenset[int]:
     """Exact set of hypothesis indices consistent with the data."""
-    return fc.mask_to_indices(fc.vs_mask(support_pairs(data)))
+    return fc.mask_to_indices(fc.vs_mask(data))
 
 
 def erm_lexmin(fc: FiniteClass, data: Dataset | Iterable[Pair]) -> int:
@@ -320,12 +354,7 @@ def erm_lexmin(fc: FiniteClass, data: Dataset | Iterable[Pair]) -> int:
     data this returns the minimum index of the version space, which makes
     the answer canonical under permutation of items.
     """
-    if isinstance(data, Dataset):
-        weights = data.support()
-    else:
-        weights = Counter((int(x), int(y)) for x, y in data)
-    for pair in weights:
-        _check_pair(pair, fc.domain_size)
+    weights = Counter(_read_pairs(data, fc.domain_size))
     best_i = 0
     best_loss = None
     for i, row in enumerate(fc.hypotheses):

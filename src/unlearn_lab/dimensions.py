@@ -2,7 +2,8 @@
 
 Computes VC dimension, Littlestone dimension, star number, hollow star
 number, eluder dimension, and the minimum identification set, each with a
-witness that the matching verifier accepts. VC, star, hollow star,
+witness that the matching verifier accepts; a verifier reads its witness
+by `core`'s pair rule before it asks anything. VC, star, hollow star,
 eluder and Littlestone run on one search engine over the support lattice
 (`_Lattice`, one per FiniteClass and one per call on an oracle; see
 `_lattice`) and so over any realizability oracle; eluder and Littlestone
@@ -63,7 +64,9 @@ from itertools import product
 from operator import and_, or_
 from typing import Iterable
 
-from .core import ClassHandle, FiniteClass, Pair, _check_pair, _mask_pairs, is_realizable
+from .core import (
+    ClassHandle, FiniteClass, Pair, _check_pair, _mask_pairs, _read_pairs, is_realizable
+)
 from .geometry import HalfspaceOracle
 
 CAP_EXCEEDED = "cap-exceeded"
@@ -112,8 +115,9 @@ class _Lattice:
             self.top = 0
             self.pairs = tuple((1 << 2 * x, 2 << 2 * x) for x in range(m))
             self.meet = or_
-            self.ok = _memoized(handle, m)
-            self.ceilings = _free_ceilings(m)
+            even = int("0" + "01" * m, 2)  # bit 2x: label 0 of point x
+            self.ok = _memoized(handle, even)
+            self.ceilings = _free_ceilings(m, even)
 
 
 def _lattice(handle: ClassHandle) -> _Lattice:
@@ -139,10 +143,10 @@ def _version_ceilings(mask: int) -> tuple[int, int, int]:
     return size - 1, log, log
 
 
-def _free_ceilings(m: int):
+def _free_ceilings(m: int, even: int):
     """The ceilings of a pair bitmask over m points: its u unlabeled points
-    for both depths, and u-1 for Littlestone once a split has read less."""
-    even = int("0" + "01" * m, 2)
+    for both depths, and u-1 for Littlestone once a split has read less.
+    `even` has bit 2x set for every point x."""
 
     def ceilings(state: int) -> tuple[int, int, int]:
         free = m - ((state | state >> 1) & even).bit_count()
@@ -151,9 +155,10 @@ def _free_ceilings(m: int):
     return ceilings
 
 
-def _memoized(handle: ClassHandle, m: int):
-    """The oracle's answers on pair bitmasks over m points, memoized; a
-    support holding both labels of a point is unrealizable without a call.
+def _memoized(handle: ClassHandle, even: int):
+    """The oracle's answers on pair bitmasks, memoized; a support holding
+    both labels of a point is unrealizable without a call (`even` has bit
+    2x set for every point x of the domain).
 
     A `HalfspaceOracle` keeps the memo: its `_memo` is keyed on the pair
     bitmask, and a miss goes to its `_decide`, as in its own entry. Any
@@ -161,7 +166,6 @@ def _memoized(handle: ClassHandle, m: int):
     `is_realizable_pairs` on a frozenset of pairs, built once per
     support, and its answers are memoized here.
     """
-    even = int("0" + "01" * m, 2)  # bit 2x: label 0 of point x
     if type(handle) is HalfspaceOracle:
         memo, decide = handle._memo, handle._decide
     else:
@@ -503,23 +507,16 @@ def littlestone_dimension(handle: ClassHandle) -> int:
     return _split_search(_lattice(handle), handle.domain_size)[1][0]
 
 
-# Witness verifiers. Each builds every support it needs explicitly and asks
-# core.is_realizable, so it shares no code with the searches above.
-
-def _checked(handle: ClassHandle, pairs: Iterable[Pair]) -> tuple[Pair, ...]:
-    out = tuple(pairs)
-    for pair in out:
-        _check_pair(pair, handle.domain_size)
-    return out
-
+# Witness verifiers. Each reads its witness through core._read_pairs, builds every
+# support it needs explicitly and asks core.is_realizable, so it shares no code with
+# the searches above.
 
 def _flips_realizable(handle: ClassHandle, fs: frozenset[Pair]) -> bool:
     return all(is_realizable(handle, (fs - {(x, y)}) | {(x, 1 - y)}) for x, y in fs)
 
 
 def verify_shattered(handle: ClassHandle, points: Iterable[int]) -> bool:
-    pts = tuple(points)
-    _checked(handle, ((x, 0) for x in pts))
+    pts = tuple(x for x, _ in _read_pairs(((x, 0) for x in points), handle.domain_size))
     if len(set(pts)) != len(pts):
         return False
     return all(
@@ -528,18 +525,18 @@ def verify_shattered(handle: ClassHandle, points: Iterable[int]) -> bool:
 
 
 def verify_star_set(handle: ClassHandle, pairs: Iterable[Pair]) -> bool:
-    fs = frozenset(_checked(handle, pairs))
+    fs = frozenset(_read_pairs(pairs, handle.domain_size))
     return is_realizable(handle, fs) and _flips_realizable(handle, fs)
 
 
 def verify_hollow_star_set(handle: ClassHandle, pairs: Iterable[Pair]) -> bool:
-    fs = frozenset(_checked(handle, pairs))
+    fs = frozenset(_read_pairs(pairs, handle.domain_size))
     return bool(fs) and not is_realizable(handle, fs) and _flips_realizable(handle, fs)
 
 
 def verify_eluder_sequence(handle: ClassHandle, seq: Iterable[Pair]) -> bool:
     fs: frozenset[Pair] = frozenset()
-    for x, y in _checked(handle, seq):
+    for x, y in _read_pairs(seq, handle.domain_size):
         if not (is_realizable(handle, fs | {(x, 0)}) and is_realizable(handle, fs | {(x, 1)})):
             return False
         fs = fs | {(x, y)}
@@ -547,7 +544,7 @@ def verify_eluder_sequence(handle: ClassHandle, seq: Iterable[Pair]) -> bool:
 
 
 def verify_identification_set(fc: FiniteClass, points: Iterable[int]) -> bool:
-    pts = tuple(points)
+    pts = [x for x, _ in _read_pairs(((x, 0) for x in points), fc.domain_size)]
     restrictions = {tuple(row[x] for x in pts) for row in fc.hypotheses}
     return len(restrictions) == len(fc.hypotheses)
 
@@ -563,7 +560,7 @@ def _realizable_branches(handle: ClassHandle, node, pairs: frozenset[Pair], rema
     if node is None:
         return False
     x, left, right = node
-    _check_pair((x, 0), handle.domain_size)
+    x, _ = _check_pair((x, 0), handle.domain_size)
     # both subtrees are walked, so a node outside the domain raises wherever it sits
     left_ok = _realizable_branches(handle, left, pairs | {(x, 0)}, remaining - 1)
     right_ok = _realizable_branches(handle, right, pairs | {(x, 1)}, remaining - 1)

@@ -21,8 +21,8 @@ oracle keeps their pairs as an unrealizable core: a support that holds a
 recorded core is unrealizable without a solve. Such answers run no FM
 and so never reach the row cap. Answers are memoized on the support's
 pair bitmask (bit 2x+y for the pair (x, y)), the one key the cores and
-the support lattice of `dimensions` share: `is_realizable_pairs`
-normalises, validates and folds the pairs into it in one loop, and the
+the support lattice of `dimensions` share: `is_realizable_pairs` reads
+its pairs by the pair rule of `core` and folds them into it, and the
 lattice asks by mask, so its questions build no pairs.
 """
 
@@ -35,7 +35,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import and_, mul
 
-from .core import Dataset, OracleError, Pair, _check_pair, _mask_pairs
+from .core import Dataset, OracleError, Pair, _mask_pairs, _read_pairs
 
 Point = tuple[Fraction, ...]
 
@@ -387,18 +387,15 @@ class HalfspaceOracle:
     def is_realizable_pairs(self, pairs: Iterable[Pair]) -> bool:
         """Whether some halfspace puts every (point, label) pair on its side.
 
-        The pairs are read in one loop that normalises each to ints,
-        validates it and folds it into the support's pair bitmask, the
-        memo's key; a miss goes to `_decide`. Nothing is looked up before
-        the pairs are validated, so an out-of-domain support raises
-        ValueError however often it is asked, and supports with equal
-        normal forms (say, holding `True` or `Fraction(2)` for 1 or 2)
-        share one memo entry.
+        The pairs are read by `core._read_pairs` and folded into the
+        support's pair bitmask, the memo's key; a miss goes to `_decide`.
+        Nothing is looked up before every pair is validated, so an
+        out-of-domain support raises ValueError however often it is asked,
+        and supports with equal normal forms (say, holding `True` or
+        `Fraction(2)` for 1 or 2) share one memo entry.
         """
-        m, mask = self.domain_size, 0
-        for x, y in pairs:
-            x, y = int(x), int(y)
-            _check_pair((x, y), m)
+        mask = 0
+        for x, y in _read_pairs(pairs, self.domain_size):
             mask |= 1 << (2 * x + y)
         if mask not in self._memo:
             self._memo[mask] = self._decide(mask)
@@ -417,14 +414,12 @@ class HalfspaceOracle:
         if any(self._point_rows(x)[1] in positives for x, y in pairs if not y):
             return False  # one point under both labels
         # FM names the first contradiction it meets, so the row order picks the core kept;
-        # the rows go in the order of the support's frozenset, the one a proxy asking on the
-        # lattice's frozensets gives too, so both paths keep the same cores
-        ordered = frozenset(pairs)
-        rows = [self._point_rows(x)[y] for x, y in ordered]
+        # the rows go in the pairs' bit order, a function of the support alone
+        rows = [self._point_rows(x)[y] for x, y in pairs]
         found = _solve(rows, self.dim + 1, DEFAULT_ROW_CAP)
-        if type(found) is int:  # the Farkas rows, in the order of `ordered`
+        if type(found) is int:  # the Farkas rows, in the order of `pairs`
             core = 0
-            for i, (x, y) in enumerate(ordered):
+            for i, (x, y) in enumerate(pairs):
                 if found >> i & 1:
                     core |= 1 << (2 * x + y)
             self._cores.append(core)

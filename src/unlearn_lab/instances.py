@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import ClassHandle, Dataset, FiniteClass, Pair
+from .core import ClassHandle, Dataset, FiniteClass, Pair, _read_pairs
 from .dimensions import verify_eluder_sequence, verify_shattered
 from .geometry import HalfspaceOracle, face_centroid_id, simplex_face_domain
 
@@ -229,7 +229,7 @@ def eluder_lb_instance(handle: ClassHandle, witness: Sequence[Pair], n: int) -> 
     the query keeps only the true pairs of earlier positions plus both
     labels at x_i, so the survivor is realizable exactly when bit i is 0.
     """
-    seq = tuple((int(x), int(y)) for x, y in witness)
+    seq = tuple(_read_pairs(witness, handle.domain_size))
     if not verify_eluder_sequence(handle, seq):
         raise ValueError("the witness is not an eluder sequence for this class")
     p = min(n // 2, len(seq))
@@ -253,7 +253,8 @@ def shatter_lb_instance(handle: ClassHandle, shattered: Sequence[int]) -> LbInst
     secret bit; deleting the other points' 1-labels leaves a coincident
     conflict exactly when the bit is 0.
     """
-    points = tuple(int(x) for x in shattered)
+    # verify_shattered reads the points by the pair rule, and `dataset_of`'s Dataset as ints
+    points = tuple(shattered)
     if not verify_shattered(handle, points):
         raise ValueError("the given points are not shattered by this class")
     d = len(points)

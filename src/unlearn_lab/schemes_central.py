@@ -24,14 +24,13 @@ from .core import (
     Entry,
     FiniteClass,
     Pair,
-    _check_pair,
+    _read_pairs,
     count_bits,
     dataset_bits,
     distinct_ids,
     erm_lexmin,
     is_realizable,
     pair_bits,
-    support_pairs,
 )
 from .compression import _prune
 from .dimensions import _lattice, _Lattice
@@ -102,10 +101,10 @@ def _support_on_lattice(
 ) -> tuple[frozenset[Pair], _Lattice, bool]:
     """The normalised support of `data`, one support lattice on `handle`
     for every question of the call (`dimensions._lattice`), and whether
-    the support is realizable. Each pair is validated here, once."""
-    support, lat = support_pairs(data), _lattice(handle)
-    for pair in support:
-        _check_pair(pair, lat.m)
+    the support is realizable. Every pair is validated (`core._read_pairs`)
+    before the lattice is asked."""
+    lat = _lattice(handle)
+    support = frozenset(_read_pairs(data, lat.m))
     return support, lat, lat.ok(_state(lat, support))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .compression import NodeStates, VsEncoding
 from .core import (
-    ClassHandle, Dataset, Entry, FiniteClass, _check_pair, count_bits, distinct_ids, pair_cap
+    ClassHandle, Dataset, Entry, FiniteClass, _read_pairs, count_bits, distinct_ids, pair_cap
 )
 from .schemes_central import PreconditionError
 
@@ -307,9 +307,7 @@ class ChainScheme:
 
     def learn(self, data: Dataset) -> tuple[bool, ChainAux, dict[int, ChainTicket | None]]:
         n = len(data)
-        counts = data.support()
-        for pair in counts:
-            _check_pair(pair, self.domain_size)
+        counts = Counter(_read_pairs(data, self.domain_size))
         chain = self._blockers(counts)
         by_x = {info.x: i for i, info in enumerate(chain)}
         aux = ChainAux(

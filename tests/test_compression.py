@@ -38,7 +38,7 @@ from unlearn_lab import (
     vs_decode,
     vs_encode,
 )
-from unlearn_lab.core import _realizable_support, support_pairs
+from unlearn_lab.core import _check_pair, _realizable_support, support_pairs
 
 
 @pytest.fixture
@@ -289,7 +289,9 @@ def test_an_oracle_over_no_points_encodes_the_empty_dataset():
 
 
 def _ref_eluder_subsequence(handle, data):
-    pairs = list(data.pairs()) if isinstance(data, Dataset) else [(int(x), int(y)) for x, y in data]
+    # every pair is read by the pair rule before anything is asked, also those after the stop
+    raw = data.pairs() if isinstance(data, Dataset) else data
+    pairs = [_check_pair(pair, handle.domain_size) for pair in raw]
     kept, kept_fs = [], frozenset()
     for x, y in pairs:
         if (x, y) in kept_fs:
