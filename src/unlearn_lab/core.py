@@ -303,8 +303,9 @@ def distinct_ids(indices: Iterable[int]) -> frozenset[int]:
 
 
 def validate_query(data: Dataset, indices: Iterable[int]) -> frozenset[int]:
-    """Check an index set against a dataset: no duplicates, ids known."""
-    ids = distinct_ids(indices)
+    """Check an index set against a dataset: ids read by the value rule, no
+    duplicates, ids known."""
+    ids = distinct_ids(i if type(i) is int else _int(i) for i in indices)
     for i in sorted(ids):
         if i not in data._by_id:
             raise UnknownItemError(i)

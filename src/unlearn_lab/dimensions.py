@@ -32,7 +32,10 @@ first:
   largest set found.
 - hollow: removing one pair from a hollow set leaves a star set (it and
   each of its flips lie inside a realizable flip of the hollow set), so
-  given the exact star number no size above star+1 is tried.
+  given the exact star number no size above star+1 is tried. The search
+  runs on star frontiers: each point prefix carries only its star
+  labelings, grown one point at a time by the star search's own flip
+  step, and a candidate of the last point extends one of them.
 - split recursion: a state stops splitting once both depths reach its
   ceilings. For a version space V these are |V|-1 (each split leaves two
   non-empty parts) and floor(log2 |V|) (a complete depth-d tree needs
@@ -51,10 +54,11 @@ first:
 The single-dimension calls use the star, split and forced-point bounds;
 `compute_dims` runs the split recursion first and the star search before
 the hollow one, and so uses all five. On a finite class the searches are
-exact at their default caps, and most of `compute_dims`'s time goes to
-the split recursion and the hollow search. Every recursive search is a
-module-level function that takes its memo or lattice as arguments, so a
-search leaves no reference cycle behind.
+exact at their default caps; the split recursion takes half to two
+thirds of `compute_dims`'s time, and the star, VC and hollow searches
+most of the rest. Every recursive search is a module-level function
+that takes its memo or lattice as arguments, so a search leaves no
+reference cycle behind.
 """
 
 from __future__ import annotations
@@ -185,31 +189,27 @@ def _memoized(handle: ClassHandle, even: int):
     return ok
 
 
-def _tables(lat: _Lattice, size: int, keep=None):
+def _tables(lat: _Lattice, size: int):
     """Every size-point combination in lexicographic order, with the states
     of its 2^size labelings.
 
     Labeling `lab` gives the i-th point the label in bit size-1-i of
     `lab`, so a table runs in `product((0, 1), repeat=size)` order and
     flipping the i-th label is `lab ^ (1 << (size-1-i))`. Combinations
-    that share a prefix share the prefix's table. If given, `keep(lat,
-    table)` is asked of every proper non-empty prefix's table, and the
-    combinations extending a prefix it rejects are skipped.
+    that share a prefix share the prefix's table.
     """
-    return _grow(lat, size, keep, 0, (), [lat.top])
+    return _grow(lat, size, 0, (), [lat.top])
 
 
-def _grow(lat: _Lattice, size: int, keep, start: int, points: tuple[int, ...], table: list):
+def _grow(lat: _Lattice, size: int, start: int, points: tuple[int, ...], table: list):
     if len(points) == size:
         yield points, table
-        return
-    if points and keep is not None and not keep(lat, table):
         return
     meet = lat.meet
     for x in range(start, lat.m - size + len(points) + 1):
         s0, s1 = lat.pairs[x]
         grown = [t for s in table for t in (meet(s, s0), meet(s, s1))]
-        yield from _grow(lat, size, keep, x + 1, points + (x,), grown)
+        yield from _grow(lat, size, x + 1, points + (x,), grown)
 
 
 class _CapHit(Exception):
@@ -294,34 +294,49 @@ def _find_hollow(lat: _Lattice, size: int) -> tuple[Pair, ...] | None:
     # qualify at size exactly 2, when both singletons are realizable.
     # Larger candidates have distinct points.
     #
-    # Prefix rule: a prefix of j points (0 < j < size) is dropped unless
-    # some labeling q of it has q and all j of its one-label flips
-    # realizable. This drops no hollow set: if labeling L of the whole set
-    # is hollow and q is L on the prefix, then q lies inside the flip of L
-    # at a point outside the prefix (one exists, as j < size), and the flip
-    # of q at a prefix point inside the flip of L there; each such flip of
-    # L is realizable, and so is every subset of a realizable support. The
-    # survivors keep their lexicographic order, so the first witness found
-    # is the one the full enumeration finds.
-    ok = lat.ok
+    # Star frontiers: each prefix of j < size points carries only its star
+    # labelings. Removing the last pair of a hollow set leaves a star set
+    # (it lies inside the flip at that point, and each of its flips inside
+    # the hollow set's flip there), so a hollow labeling extends a star
+    # labeling of its first size-1 points, and those of its first j points
+    # too, star sets being closed under removing a pair. A prefix with no
+    # star labeling is dropped. Points run in lexicographic order and each
+    # frontier in product order, so the first witness found is the one the
+    # full enumeration finds.
     if size == 2:
+        ok = lat.ok
         for x, (s0, s1) in enumerate(lat.pairs):
             if ok(s0) and ok(s1):
                 return ((x, 0), (x, 1))
-    flips = [1 << i for i in range(size)]
-    for points, table in _tables(lat, size, _star_labeled):
-        for lab, state in enumerate(table):
-            if not ok(state) and all(ok(table[lab ^ f]) for f in flips):
-                return tuple((x, lab >> (size - 1 - i) & 1) for i, x in enumerate(points))
+    return _hollow_extend(lat, size, 0, [((), lat.top, [])])
+
+
+def _hollow_extend(lat: _Lattice, size: int, start: int, frontier: list):
+    # `frontier` holds (labeling, state, flip states) for the star
+    # labelings of one prefix, as `_star_extend` carries them.
+    meet, ok, pairs = lat.meet, lat.ok, lat.pairs
+    depth = len(frontier[0][0])
+    if depth == size - 1:
+        for x in range(start, lat.m):
+            for cand, state, flips in frontier:
+                for y in (0, 1):
+                    if not ok(meet(state, pairs[x][y])):
+                        if _grown_flips(lat, state, flips, x, y) is not None:
+                            return cand + ((x, y),)
+        return None
+    for x in range(start, lat.m - size + depth + 1):
+        p = pairs[x]
+        grown = []
+        for cand, state, flips in frontier:
+            for y in (0, 1):
+                s = meet(state, p[y])
+                if ok(s) and (grown_f := _grown_flips(lat, state, flips, x, y)) is not None:
+                    grown.append((cand + ((x, y),), s, grown_f))
+        if grown:
+            found = _hollow_extend(lat, size, x + 1, grown)
+            if found is not None:
+                return found
     return None
-
-
-def _star_labeled(lat: _Lattice, table: list) -> bool:
-    """Whether some labeling in `table` is realizable together with each of
-    its one-label flips."""
-    ok = lat.ok
-    flips = [1 << i for i in range(len(table).bit_length() - 1)]
-    return any(ok(s) and all(ok(table[q ^ f]) for f in flips) for q, s in enumerate(table))
 
 
 def _hollow_search(
@@ -373,25 +388,30 @@ def _split_depths(lat: _Lattice, memo: dict, state) -> tuple[int, Pair | None, i
     # Once both depths reach the state's ceilings, no later point can
     # raise either, nor change the first deepest move. After the first
     # split the Littlestone ceiling is the third value of `ceilings`.
-    hit = memo.get(state)
-    if hit is not None:
-        return hit
-    meet, ok = lat.meet, lat.ok
+    # The caller reads memo hits, so every call computes a new state.
+    meet, ok, get = lat.meet, lat.ok, memo.get
     e_ceil, l_ceil, l_split = lat.ceilings(state)
     best, move, ldim = 0, None, 0
     for x, (p0, p1) in enumerate(lat.pairs):
         if best >= e_ceil and ldim >= l_ceil:
             break
         s0 = meet(state, p0)
-        if ok(s0) and ok(s1 := meet(state, p1)):
-            e0, _, l0 = _split_depths(lat, memo, s0)
-            e1, _, l1 = _split_depths(lat, memo, s1)
-            if 1 + e0 > best:
-                best, move = 1 + e0, (x, 0)
-            if 1 + e1 > best:
-                best, move = 1 + e1, (x, 1)
-            ldim = max(ldim, 1 + min(l0, l1))
-            l_ceil = l_split
+        if not ok(s0):
+            continue
+        s1 = meet(state, p1)
+        if not ok(s1):
+            continue
+        e0, _, l0 = get(s0) or _split_depths(lat, memo, s0)
+        e1, _, l1 = get(s1) or _split_depths(lat, memo, s1)
+        if e0 >= best:
+            best, move = 1 + e0, (x, 0)
+        if e1 >= best:
+            best, move = 1 + e1, (x, 1)
+        if l0 > l1:
+            l0 = l1
+        if l0 >= ldim:
+            ldim = 1 + l0
+        l_ceil = l_split
     hit = memo[state] = (best, move, ldim)
     return hit
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import ClassHandle, Dataset, FiniteClass, Pair, _read_pairs
+from .core import ClassHandle, Dataset, FiniteClass, Pair, _int, _read_pairs
 from .dimensions import verify_eluder_sequence, verify_shattered
 from .geometry import HalfspaceOracle, face_centroid_id, simplex_face_domain
 
@@ -116,7 +116,7 @@ class LbInstance:
 
 
 def _check_secret(inst: LbInstance, z: Sequence[int]) -> Bits:
-    bits = tuple(int(b) for b in z)
+    bits = tuple(map(_int, z))  # core's value rule
     if len(bits) != inst.secret_len:
         raise ValueError(f"secret must have {inst.secret_len} bits")
     if any(b not in (0, 1) for b in bits):

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 from .compression import NodeStates, VsEncoding
 from .core import (
-    ClassHandle, Dataset, Entry, FiniteClass, _read_pairs, count_bits, distinct_ids, pair_cap
+    ClassHandle, Dataset, Entry, FiniteClass, _int, _read_pairs, count_bits, distinct_ids,
+    pair_cap,
 )
 from .schemes_central import PreconditionError
 
@@ -71,8 +72,9 @@ class TicketView(Mapping[int, Ticket]):
     Holds the learned dataset and the tree's node-state levels, leaves
     first and the root level left out. Keys are the dataset's ids in
     entry order; looking one up copies the sibling state of the id's
-    leaf at every level into a new `Ticket` and encodes nothing. An
-    unknown id raises `core.UnknownItemError`, a KeyError.
+    leaf at every level into a new `Ticket` and encodes nothing. An id
+    is read by `core`'s value rule, so a non-integral one raises
+    ValueError and an unknown one `core.UnknownItemError`, a KeyError.
     """
 
     __slots__ = ("_data", "_levels", "_encode")
@@ -85,6 +87,8 @@ class TicketView(Mapping[int, Ticket]):
         self._encode = encode
 
     def __getitem__(self, item_id: int) -> Ticket:
+        if type(item_id) is not int:
+            item_id = _int(item_id)
         self._data.pair(item_id)  # raises on an id the dataset lacks
         v, states = item_id - 1, []
         for level in self._levels:

@@ -30,9 +30,11 @@ from unlearn_lab import (
     vclb_instance,
 )
 from unlearn_lab.dimensions import (
+    _find_hollow,
     _hollow_search,
     _Lattice,
     _mis_search,
+    _split_depths,
     _tables,
     verify_eluder_sequence,
     verify_hollow_star_set,
@@ -337,7 +339,7 @@ PINNED_HALFSPACE = {
         "mis": None,
     },
 }
-PINNED_HALFSPACE_CALLS = 78
+PINNED_HALFSPACE_CALLS = 76
 
 
 def _as_json(rep) -> dict:
@@ -552,6 +554,58 @@ def test_pruned_searches_match_exhaustive_references():
         for cap in range(5):
             _check_hollow_matches(oracle, cap)
     _check_hollow_matches(HalfspaceOracle(simplex_face_domain(4, 2)), 3)
+
+
+def test_find_hollow_matches_the_reference_at_every_size():
+    # The capped searches compare only the first hit per cap, so this asks
+    # every size, those below the answer included, on the same grid.
+    rng = random.Random(25)
+    handles = []
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        rows = _distinct_rows(rng.randrange(1 << 30), m, rng.randint(1, min(1 << m, 40)))
+        fc = FiniteClass(m, rows)
+        handles += [fc, as_oracle(fc)]
+    planar = [(0, 0), (3, 0), (0, 2), (2, 3), (1, 1)]
+    for points in (PINNED_HALFSPACE_POINTS, planar):
+        handles.append(HalfspaceOracle([tuple(Fraction(c) for c in p) for p in points]))
+    for handle in handles:
+        lat, fresh = _Lattice(handle), _Lattice(handle)
+        for size in range(1, handle.domain_size + 2):
+            assert _find_hollow(lat, size) == _reference_find_hollow(fresh, size), (handle, size)
+
+
+def _ceiling_free_depths(lat, memo, state):
+    """Eluder depth, first deepest move and Littlestone depth below a
+    realizable state, with every splitting point walked."""
+    if state not in memo:
+        best, move, ldim = 0, None, 0
+        for x, (p0, p1) in enumerate(lat.pairs):
+            s0, s1 = lat.meet(state, p0), lat.meet(state, p1)
+            if not (lat.ok(s0) and lat.ok(s1)):
+                continue
+            (e0, _, l0), (e1, _, l1) = (_ceiling_free_depths(lat, memo, s) for s in (s0, s1))
+            for e, y in ((e0, 0), (e1, 1)):
+                if 1 + e > best:
+                    best, move = 1 + e, (x, y)
+            ldim = max(ldim, 1 + min(l0, l1))
+        memo[state] = (best, move, ldim)
+    return memo[state]
+
+
+def test_split_memo_entries_match_a_ceiling_free_recursion():
+    rng = random.Random(28)
+    for _ in range(150):
+        m = rng.randint(1, 8)
+        rows = _distinct_rows(rng.randrange(1 << 30), m, rng.randint(1, min(1 << m, 40)))
+        fc = FiniteClass(m, rows)
+        for handle in (fc, as_oracle(fc)):
+            lat, memo = _Lattice(handle), {}
+            _split_depths(lat, memo, lat.top)
+            fresh, reference = _Lattice(handle), {}
+            assert lat.top in memo
+            for state, entry in memo.items():
+                assert entry == _ceiling_free_depths(fresh, reference, state), (rows, state)
 
 
 # An independent reference for the split recursion: eluder and Littlestone

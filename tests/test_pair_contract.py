@@ -14,7 +14,9 @@ import pytest
 
 from unlearn_lab import (
     Dataset,
+    ErmMerkleScheme,
     HalfspaceOracle,
+    MerkleScheme,
     as_oracle,
     canonical_dataset,
     eluder_lb_instance,
@@ -23,6 +25,7 @@ from unlearn_lab import (
     erm_lexmin,
     is_realizable,
     minimal_unrealizable_core,
+    run_adversary,
     shatter_lb_instance,
     star_prune,
     thresholds_1d,
@@ -30,7 +33,7 @@ from unlearn_lab import (
     vs_encode,
 )
 from unlearn_lab.compression import NodeStates
-from unlearn_lab.core import FiniteClass, support_pairs
+from unlearn_lab.core import FiniteClass, support_pairs, validate_query
 from unlearn_lab.dimensions import (
     verify_eluder_sequence,
     verify_hollow_star_set,
@@ -177,3 +180,43 @@ def test_item_ids_follow_the_value_rule():
     for bad in BAD:
         with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an integer")):
             Dataset([(bad, (0, 1))])
+
+
+def test_query_ids_follow_the_value_rule():
+    data = Dataset.from_pairs([(0, 1), (1, 1)])
+    for good in GOOD[1]:
+        assert validate_query(data, [good]) == {1}
+        assert all(type(i) is int for i in validate_query(data, [good, 2]))
+        assert data.remove([good]).entries == data.remove([1]).entries
+        assert data.entries_for([good]) == ((1, (0, 1)),)
+        with pytest.raises(ValueError, match="duplicate index 1"):
+            data.remove([1, good])
+    for bad in BAD:
+        # a ValueError, where an unknown int id raises UnknownItemError
+        for entry in (data.remove, data.entries_for):
+            with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an integer")):
+                entry([bad])
+
+
+@pytest.mark.parametrize("make", [MerkleScheme, ErmMerkleScheme])
+def test_ticket_ids_follow_the_value_rule(make):
+    scheme = make(thresholds_1d(4))
+    _, aux, tickets = scheme.learn(Dataset.from_pairs(REAL))
+    want = scheme.unlearn([(1, (0, 0))], aux, {1: tickets[1]})
+    for good in GOOD[1]:
+        assert tickets[good] == tickets[1] and type(tickets[good].leaf) is int
+        assert scheme.unlearn([(good, (0, 0))], aux, {good: tickets[good]}) == want
+    for bad in BAD:
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an integer")):
+            tickets[bad]
+
+
+def test_secret_bits_follow_the_value_rule():
+    fc = thresholds_1d(4)
+    inst = shatter_lb_instance(fc, [1])
+    want = run_adversary(inst, MerkleScheme(fc), [1])
+    for good in GOOD[1]:
+        assert run_adversary(inst, MerkleScheme(fc), [good]) == want
+    for bad in BAD:
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an integer")):
+            run_adversary(inst, MerkleScheme(fc), [bad])
